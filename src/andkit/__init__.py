@@ -9,7 +9,7 @@ counts.
 
 __version__ = "0.1.0"
 
-from .affinity import Neighbourhood, ProbRow, build_neighbourhoods, entropy, prob_row
+from .affinity import build_neighbourhoods, entropy, prob_row, top_k
 from .data import BlobSpec, Dataset, generate_blobs, load_dataset, make_batches
 from .encoder import EncoderConfig, EncoderParams, OptimState, forward, init_params, lr_at
 from .errors import AndkitError
@@ -40,9 +40,7 @@ __all__ = [
     "FeatureBank",
     "LossGrad",
     "MetricsRecord",
-    "Neighbourhood",
     "OptimState",
-    "ProbRow",
     "RoundPlan",
     "SeededRng",
     "TrainConfig",
@@ -70,6 +68,7 @@ __all__ = [
     "save_checkpoint",
     "select_anchors",
     "stable_softmax",
+    "top_k",
     "train",
     "update_batch",
 ]

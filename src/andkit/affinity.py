@@ -1,8 +1,10 @@
 """Similarity distributions, anchor neighbourhoods, and consistency entropy.
 
 A probability row is the temperature-scaled softmax of one query feature's
-cosine scores against every memory row. An anchor neighbourhood is the
-anchor itself plus its k most similar bank rows. The Shannon entropy of a
+cosine scores against every memory row. An anchor neighbourhood is one row
+of an int member array: the anchor first, then its k most similar bank rows
+(ties to the lower index); k = 0 is the singleton, the instance case. A row
+is read as a set: a repeated index counts once. The Shannon entropy of a
 sample's probability row is the curriculum's difficulty score: a peaked row
 means the sample sits in a sparse region with an easily separable, likely
 class-pure neighbourhood, while a flat row marks a crowded, ambiguous one.
@@ -13,80 +15,49 @@ matters for curriculum selection, so the base is a free choice.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import ConfigurationError, ContractError
+from .errors import ConfigurationError
 from .memory import FeatureBank, all_similarities
 from .numerics import stable_softmax
 
 
-@dataclass(frozen=True)
-class ProbRow:
-    """Distribution of one query over all bank rows; entries sum to 1."""
-
-    probs: np.ndarray  # (n,) float64
-    anchor: int = -1  # bank index of the query, -1 if the query is external
-
-
-@dataclass(frozen=True)
-class Neighbourhood:
-    """An anchor index plus its k nearest member indices.
-
-    `members` lists the anchor first, then neighbours in decreasing
-    similarity order; ties are broken by lower index everywhere so runs are
-    reproducible. A singleton neighbourhood (k = 0) is the instance case.
-    """
-
-    anchor: int
-    members: tuple[int, ...]
-    k: int
-
-    def __post_init__(self):
-        if self.anchor not in self.members:
-            raise ContractError(f"anchor {self.anchor} missing from members {self.members}")
-        if len(self.members) != self.k + 1:
-            raise ContractError(f"expected k+1={self.k + 1} members, got {len(self.members)}")
-        if len(set(self.members)) != len(self.members):
-            raise ContractError(f"duplicate members in {self.members}")
-
-
-def singleton(anchor: int) -> Neighbourhood:
-    return Neighbourhood(anchor=anchor, members=(anchor,), k=0)
-
-
-def prob_row(query, bank: FeatureBank, tau: float, anchor: int = -1) -> ProbRow:
+def prob_row(query, bank: FeatureBank, tau: float) -> np.ndarray:
     """Softmax over cosine scores of `query` against the bank, at temperature `tau`."""
     if not tau > 0:
         raise ConfigurationError(f"temperature must be > 0, got {tau}")
-    return ProbRow(probs=stable_softmax(all_similarities(bank, query) / tau), anchor=anchor)
+    return stable_softmax(all_similarities(bank, query) / tau)
 
 
-def build_neighbourhoods(bank: FeatureBank, k: int) -> list[Neighbourhood]:
-    """Exact top-k cosine neighbourhoods for every bank row.
+def top_k(scores: np.ndarray, k: int) -> np.ndarray:
+    """Column indices of the k largest scores in each row, best first.
 
-    For anchor i the members are {i} plus the k other rows with the largest
-    inner products against row i, ties resolved toward lower indices. Exact
-    O(n^2) search; the bank is desk-scale by design.
+    Equal scores keep ascending index order; this is the one tie rule used
+    by planning, kNN evaluation and `inspect`, so runs are reproducible.
+    """
+    return np.argsort(-scores, axis=1, kind="stable")[:, :k]
+
+
+def build_neighbourhoods(bank: FeatureBank, k: int) -> np.ndarray:
+    """Exact top-k cosine member array, shape (n, k+1), for every bank row.
+
+    Row i is anchor i followed by the k other rows with the largest inner
+    products against row i. Exact O(n^2) search; the bank is desk-scale by
+    design.
     """
     n = bank.n
-    if not 1 <= k <= n - 1:
-        raise ConfigurationError(f"k must lie in [1, {n - 1}], got {k}")
+    if not 0 <= k <= n - 1:
+        raise ConfigurationError(f"k must lie in [0, {n - 1}], got {k}")
+    anchors = np.arange(n, dtype=np.int64)[:, None]
+    if k == 0:
+        return anchors
     sims = bank.features @ bank.features.T
     np.fill_diagonal(sims, -np.inf)  # the anchor joins explicitly, not via search
-    # stable argsort of -sims: equal scores keep ascending index order
-    order = np.argsort(-sims, axis=1, kind="stable")
-    out = []
-    for i in range(n):
-        picked = tuple(int(j) for j in order[i, :k])
-        out.append(Neighbourhood(anchor=i, members=(i,) + picked, k=k))
-    return out
+    return np.concatenate([anchors, top_k(sims, k)], axis=1)
 
 
-def entropy(p: ProbRow) -> float:
+def entropy(probs: np.ndarray) -> float:
     """Shannon entropy of a probability row, with 0 * log(0) taken as 0."""
-    probs = p.probs
     nz = probs[probs > 0.0]
     return float(-(nz * np.log(nz)).sum())
 

@@ -86,7 +86,7 @@ def run_benchmark(train_split: Dataset, test_split: Dataset, config: TrainConfig
     inconsistent: dict[int, int] = {}
 
     def monitor(r, plan, bank, params):
-        c, i = neighbourhood_consistency(plan.neighbourhoods, train_split.labels)
+        c, i = neighbourhood_consistency(plan.members[plan.selected], train_split.labels)
         consistent[r], inconsistent[r] = c, i
         return {"consistent_count": c, "inconsistent_count": i}
 

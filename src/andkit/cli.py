@@ -12,11 +12,12 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 
 from . import __version__
-from .affinity import build_neighbourhoods, singleton
+from .affinity import build_neighbourhoods
 from .data import BlobSpec, Dataset, generate_blobs, load_dataset, save_bin, save_csv
 from .errors import AndkitError, ContractError
 from .evaluation import (
@@ -24,6 +25,7 @@ from .evaluation import (
     DEFAULT_K_EVAL,
     EvalReport,
     consistency_curve_csv,
+    consistent_rows,
     knn_predict_batch,
     linear_probe,
     neighbourhood_consistency,
@@ -104,7 +106,7 @@ def _make_monitor(dataset: Dataset, tau: float):
     k_eval = min(DEFAULT_K_EVAL, dataset.n - 1)
 
     def monitor(r, plan, bank, params):
-        consistent, inconsistent = neighbourhood_consistency(plan.neighbourhoods, labels)
+        consistent, inconsistent = neighbourhood_consistency(plan.members[plan.selected], labels)
         feats, _ = forward(params, dataset.inputs)
         preds = knn_predict_batch(feats, bank, labels, k_eval, tau, leave_one_out=True)
         return {
@@ -136,6 +138,8 @@ def cmd_train(args) -> int:
         data_path = args.data
         out_dir = Path(args.out)
         peek = load_dataset(data_path)
+        if args.k > peek.n - 1:
+            raise _UsageError(f"--k must be <= {peek.n - 1} for {peek.n} samples")
         init_epochs = 0 if args.init == "none" else args.init_epochs
         config = TrainConfig(
             layer_sizes=(peek.dim,) + _parse_layers(args.layers),
@@ -178,15 +182,11 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _full_neighbourhoods(bank, config):
-    if config.force_singleton_neighbourhoods:
-        return [singleton(i) for i in range(bank.n)]
-    return build_neighbourhoods(bank, config.k)
-
-
 def cmd_eval(args) -> int:
     if args.knn_k < 1:
         raise _UsageError("--knn-k must be >= 1")
+    if not (math.isfinite(args.tau) and args.tau > 0):
+        raise _UsageError(f"--tau must be a finite number > 0, got {args.tau}")
     ckpt = load_checkpoint(args.checkpoint)
     split = load_dataset(args.data)
     if split.labels is None:
@@ -214,7 +214,7 @@ def cmd_eval(args) -> int:
             bank_split, split, ckpt.params, epochs=args.probe_epochs, lr=args.probe_lr
         )
     consistent, inconsistent = neighbourhood_consistency(
-        _full_neighbourhoods(ckpt.bank, ckpt.config), bank_split.labels
+        build_neighbourhoods(ckpt.bank, ckpt.config.neighbourhood_k), bank_split.labels
     )
     report = EvalReport(
         knn_accuracy=float((preds == split.labels).mean()),
@@ -243,15 +243,11 @@ def cmd_inspect(args) -> int:
             raise ContractError(f"{args.data}: needs labels for all {ckpt.bank.n} bank rows")
         labels = labelled.labels
     plan = plan_round(ckpt.bank, ckpt.config, r)
-    neighbourhoods = _full_neighbourhoods(ckpt.bank, ckpt.config)
+    flags = None if labels is None else consistent_rows(plan.members, labels)
     lines = ["anchor,members,entropy,selected,consistent"]
-    for i, nb in enumerate(neighbourhoods):
-        if labels is None:
-            consistent = ""
-        else:
-            member_labels = labels[list(nb.members)]
-            consistent = str(int((member_labels == member_labels[0]).all()))
-        members = ";".join(str(j) for j in nb.members)
+    for i, row in enumerate(plan.members.tolist()):
+        consistent = "" if flags is None else str(int(flags[i]))
+        members = ";".join(str(j) for j in row)
         lines.append(
             f"{i},{members},{float(plan.entropies[i])!r},{int(plan.selected[i])},{consistent}"
         )

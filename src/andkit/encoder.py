@@ -46,7 +46,6 @@ DECAY_EVERY = 40
 @dataclass(frozen=True)
 class EncoderConfig:
     layer_sizes: tuple[int, ...]  # (input dim, hidden..., output dim)
-    activation: str = "relu"
     seed: int = 0
 
     def __post_init__(self):
@@ -56,8 +55,6 @@ class EncoderConfig:
             raise ConfigurationError(f"layer_sizes needs >= 2 positive entries, got {sizes}")
         if sizes[-1] < 2:
             raise ConfigurationError(f"output dim must be >= 2, got {sizes[-1]}")
-        if self.activation != "relu":
-            raise ConfigurationError(f"unsupported activation {self.activation!r}")
 
 
 @dataclass
@@ -167,7 +164,6 @@ class OptimState:
     vel_biases: list[np.ndarray]
     lr: float
     momentum: float = 0.9
-    epoch: int = 0
 
     @classmethod
     def init_like(cls, params: EncoderParams, lr: float, momentum: float = 0.9) -> "OptimState":

@@ -3,7 +3,7 @@
 This is the single module allowed to read ground-truth labels. It scores
 learned features three ways: a weighted kNN classifier over the memory
 bank, a linear softmax probe on frozen features, and class-consistency
-counts over anchor neighbourhoods.
+counts over anchor neighbourhoods (rows of a member array, anchor first).
 
 The kNN vote follows the similarity-exponential weighting: among the
 k_eval most similar bank rows, class c collects sum of exp(s_i / tau) over
@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .affinity import Neighbourhood
+from .affinity import top_k
 from .data import Dataset
 from .encoder import EncoderParams, forward
 from .errors import ConfigurationError, ContractError
@@ -96,7 +96,7 @@ def knn_predict_batch(
     available = bank.n - (1 if leave_one_out else 0)
     if not 1 <= k_eval <= available:
         raise ConfigurationError(f"k_eval must lie in [1, {available}], got {k_eval}")
-    top = np.argsort(-sims, axis=1, kind="stable")[:, :k_eval]
+    top = top_k(sims, k_eval)
     weights = np.exp(np.take_along_axis(sims, top, axis=1) / tau)
     num_classes = int(labels.max()) + 1
     scores = np.zeros((feats.shape[0], num_classes))
@@ -171,16 +171,16 @@ def linear_probe(
     return float((preds == te_labels).mean())
 
 
-def neighbourhood_consistency(
-    neighbourhoods: list[Neighbourhood] | tuple[Neighbourhood, ...], labels
-) -> tuple[int, int]:
-    """Count neighbourhoods whose members all share one label vs the rest."""
-    labels = _check_labels(labels)
-    consistent = 0
-    for nb in neighbourhoods:
-        member_labels = labels[list(nb.members)]
-        consistent += int((member_labels == member_labels[0]).all())
-    return consistent, len(neighbourhoods) - consistent
+def consistent_rows(members, labels) -> np.ndarray:
+    """Bool mask of the member rows whose members all share the anchor's label."""
+    member_labels = _check_labels(labels)[np.asarray(members, dtype=np.int64)]
+    return (member_labels == member_labels[:, :1]).all(axis=1)
+
+
+def neighbourhood_consistency(members, labels) -> tuple[int, int]:
+    """Count member rows whose members all share one label vs the rest."""
+    consistent = int(consistent_rows(members, labels).sum())
+    return consistent, len(members) - consistent
 
 
 def consistency_curve_csv(metric_rows) -> str:

@@ -19,16 +19,19 @@ members (0 otherwise),
     d(-log q)/dx = (1/tau) * sum_j (p_j - t_j) * m_j,
 
 which the tests validate against central finite differences.
+
+Member sets are rows of an int array, anchor first (see `affinity`). The
+batch loss counts a repeated index once; the per-sample reference terms
+reject repeats.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .affinity import Neighbourhood, prob_row
+from .affinity import prob_row
 from .errors import ContractError
 from .memory import FeatureBank
 from .numerics import stable_softmax
@@ -40,9 +43,24 @@ class LossGrad:
     grad: np.ndarray  # d(loss)/d(fresh feature), length d
 
 
-def _member_term(anchor: int, x, members, bank: FeatureBank, tau: float) -> LossGrad:
-    p = prob_row(x, bank, tau, anchor=anchor).probs
+def instance_term(i: int, x_i, bank: FeatureBank, tau: float) -> LossGrad:
+    """Self-recognition loss -log p_i for a sample treated as its own class."""
+    return neighbourhood_term(i, x_i, (i,), bank, tau)
+
+
+def neighbourhood_term(i: int, x_i, members, bank: FeatureBank, tau: float) -> LossGrad:
+    """Neighbourhood-membership loss -log sum of member probabilities.
+
+    `members` lists anchor `i` first and holds no index twice. The loss is
+    always at most the instance loss, since the member set contains the
+    anchor; with the singleton member set (i,) the two are identical.
+    """
     idx = np.asarray(members, dtype=np.int64)
+    if idx.ndim != 1 or idx.size == 0 or idx[0] != i:
+        raise ContractError(f"members {idx.tolist()} must list anchor {i} first")
+    if np.unique(idx).size != idx.size:
+        raise ContractError(f"duplicate members in {idx.tolist()}")
+    p = prob_row(x_i, bank, tau)
     q = p[idx].sum()
     target = np.zeros_like(p)
     target[idx] = p[idx] / q
@@ -50,56 +68,28 @@ def _member_term(anchor: int, x, members, bank: FeatureBank, tau: float) -> Loss
     return LossGrad(loss=float(-np.log(q)), grad=grad)
 
 
-def instance_term(i: int, x_i, bank: FeatureBank, tau: float) -> LossGrad:
-    """Self-recognition loss -log p_i for a sample treated as its own class."""
-    return _member_term(i, x_i, (i,), bank, tau)
+def round_batch_loss(feats, members, bank: FeatureBank, tau: float) -> tuple[float, np.ndarray]:
+    """Mean neighbourhood loss over a batch and gradients of that mean.
 
-
-def neighbourhood_term(
-    i: int, x_i, nb: Neighbourhood, bank: FeatureBank, tau: float
-) -> LossGrad:
-    """Neighbourhood-membership loss -log sum of member probabilities.
-
-    Always at most the instance loss, since the member set contains the
-    anchor; with a singleton member set the two are identical.
-    """
-    if nb.anchor != i:
-        raise ContractError(f"neighbourhood anchored at {nb.anchor}, expected {i}")
-    if not nb.members:
-        raise ContractError("neighbourhood has no members")
-    return _member_term(i, x_i, nb.members, bank, tau)
-
-
-def round_batch_loss(
-    batch: Sequence[tuple[int, np.ndarray]], plan, bank: FeatureBank, tau: float
-) -> tuple[float, np.ndarray]:
-    """Mean mixed loss over a batch and gradients of that mean.
-
-    `plan` supplies a boolean `selected` mask over all samples and a
-    `neighbourhood_for(anchor)` lookup for the selected ones. Selected
-    anchors contribute their neighbourhood term, the rest their instance
-    term. Row b of the returned gradient matrix is d(mean loss)/d(feature
-    of sample b), ready to feed straight into the encoder backward pass.
+    Row b of `feats` is the fresh feature of a sample whose member set is
+    row b of the (b, m) int array `members`; a repeated index counts once,
+    so an instance row is its anchor alone or padded with copies of it.
+    Row b of the returned gradient matrix is d(mean loss)/d(feats[b]),
+    ready to feed straight into the encoder backward pass.
 
     The whole batch is evaluated in one vectorised pass; the per-sample
     term functions above serve as its reference oracle in the tests.
     """
-    indices = [int(i) for i, _ in batch]
-    feats = np.stack([f for _, f in batch]).astype(np.float64, copy=False)
-    b, n = len(indices), bank.n
-    selected = np.asarray(plan.selected, dtype=bool)
-    member_mask = np.zeros((b, n), dtype=bool)
-    for row, i in enumerate(indices):
-        if not 0 <= i < selected.size:
-            raise ContractError(f"sample {i} missing from the round plan")
-        if selected[i]:
-            member_mask[row, list(plan.neighbourhood_for(i).members)] = True
-        else:
-            member_mask[row, i] = True
-
+    feats = np.asarray(feats, dtype=np.float64)
+    members = np.asarray(members, dtype=np.int64)
+    b = feats.shape[0]
+    if members.ndim != 2 or members.shape[0] != b:
+        raise ContractError(f"member array shape {members.shape} does not fit {b} features")
     p = stable_softmax(feats @ bank.features.T / tau)
-    q = np.where(member_mask, p, 0.0).sum(axis=1)
+    target = np.zeros_like(p)
+    np.put_along_axis(target, members, np.take_along_axis(p, members, axis=1), axis=1)
+    q = target.sum(axis=1)
     losses = -np.log(q)
-    target = np.where(member_mask, p, 0.0) / q[:, None]
+    target /= q[:, None]
     grads = (p - target) @ bank.features / (tau * b)
     return float(losses.mean()), grads

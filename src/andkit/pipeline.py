@@ -4,9 +4,10 @@ A run is one instance-only warm-up phase followed by R curriculum rounds.
 At the start of round r the memory bank is frozen for planning: every
 sample's similarity distribution (query = its own memory row) yields a
 consistency entropy, the floor(N * r / R) lowest-entropy anchors are
-selected for neighbourhood supervision, and exact top-k neighbourhoods are
-built. The plan stays fixed for the whole round while the bank itself
-keeps updating every batch.
+selected for neighbourhood supervision, and the exact top-k member array of
+every anchor is built (row i: anchor i first, then its k nearest rows; k = 0
+is the singleton). The plan stays fixed for the whole round while the bank
+itself keeps updating every batch.
 
 Training never sees labels: `train` accepts only the raw input matrix.
 Label-dependent diagnostics (neighbourhood consistency, kNN accuracy)
@@ -32,17 +33,12 @@ Checkpoint format (extension ``.andc``, all integers little-endian):
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
 
-from .affinity import (
-    Neighbourhood,
-    build_neighbourhoods,
-    entropy_rows,
-    singleton,
-)
+from .affinity import build_neighbourhoods, entropy_rows
 from .data import make_batches
 from .encoder import (
     EncoderConfig,
@@ -114,29 +110,32 @@ class TrainConfig:
     def init_epochs_resolved(self) -> int:
         return self.epochs_per_round if self.init_epochs is None else self.init_epochs
 
+    @property
+    def neighbourhood_k(self) -> int:
+        """Neighbours per anchor in a plan; 0 (the singleton) when search is disabled."""
+        return 0 if self.force_singleton_neighbourhoods else self.k
+
 
 @dataclass
 class RoundPlan:
-    """Frozen curriculum state for one round."""
+    """Frozen curriculum state for one round.
 
-    r: int
+    `members` holds a row for every anchor, selected or not: anchor i first,
+    then its k nearest bank rows (k = 0: the singleton). Selected anchors
+    train on their row's neighbourhood term, the rest on their instance term.
+    """
+
     entropies: np.ndarray  # (n,) consistency entropies at planning time
     selected: np.ndarray  # (n,) bool, True for neighbourhood-supervised anchors
-    neighbourhoods: tuple[Neighbourhood, ...]  # one per selected anchor
-    _by_anchor: dict = field(init=False, repr=False)
+    members: np.ndarray  # (n, k+1) int64, anchor first
 
-    def __post_init__(self):
-        self._by_anchor = {nb.anchor: nb for nb in self.neighbourhoods}
-
-    def neighbourhood_for(self, anchor: int) -> Neighbourhood:
-        try:
-            return self._by_anchor[anchor]
-        except KeyError:
-            raise ContractError(f"no frozen neighbourhood for anchor {anchor}") from None
-
-    @property
-    def selected_fraction(self) -> float:
-        return float(self.selected.mean())
+    def batch_members(self, batch) -> np.ndarray:
+        """(b, k+1) member rows of a batch; unselected rows collapse to their anchor."""
+        idx = np.asarray(batch, dtype=np.int64)
+        bad = idx[(idx < 0) | (idx >= self.selected.size)]
+        if bad.size:
+            raise ContractError(f"sample {int(bad[0])} missing from the round plan")
+        return np.where(self.selected[idx, None], self.members[idx], idx[:, None])
 
 
 @dataclass
@@ -173,21 +172,8 @@ def plan_round(bank: FeatureBank, config: TrainConfig, r: int) -> RoundPlan:
     """Freeze entropies, neighbourhoods, and the selection mask for round r."""
     entropies = bank_entropies(bank, config.tau)
     selected = select_anchors(entropies, r, config.rounds)
-    if config.force_singleton_neighbourhoods:
-        neighbourhoods = [singleton(i) for i in range(bank.n)]
-    else:
-        neighbourhoods = build_neighbourhoods(bank, config.k)
-    kept = tuple(nb for nb in neighbourhoods if selected[nb.anchor])
-    return RoundPlan(r=r, entropies=entropies, selected=selected, neighbourhoods=kept)
-
-
-def _instance_plan(n: int) -> RoundPlan:
-    return RoundPlan(
-        r=0,
-        entropies=np.zeros(n),
-        selected=np.zeros(n, dtype=bool),
-        neighbourhoods=(),
-    )
+    members = build_neighbourhoods(bank, config.neighbourhood_k)
+    return RoundPlan(entropies=entropies, selected=selected, members=members)
 
 
 def train(
@@ -215,6 +201,8 @@ def train(
         )
     if n < 2:
         raise ConfigurationError(f"need at least 2 samples, got {n}")
+    if config.neighbourhood_k > n - 1:
+        raise ConfigurationError(f"k must lie in [1, {n - 1}] for {n} samples, got {config.k}")
 
     params = init_params(EncoderConfig(config.layer_sizes, seed=derive_seed(config.seed, 1)))
     bank = init_bank(n, config.layer_sizes[-1], SeededRng(derive_seed(config.seed, 2)), config.eta)
@@ -237,8 +225,7 @@ def train(
                 row = getattr(err, "row", None)
                 sample = int(batch[row]) if row is not None else -1
                 raise DegenerateInputError(f"sample {sample}: {err}") from err
-            pairs = list(zip((int(i) for i in batch), feats))
-            loss, gfeats = round_batch_loss(pairs, plan, bank, config.tau)
+            loss, gfeats = round_batch_loss(feats, plan.batch_members(batch), bank, config.tau)
             sgd_nesterov_step(params, backward(params, cache, gfeats), opt)
             update_batch(bank, batch, feats)
             loss_sum += loss * batch.size
@@ -247,14 +234,14 @@ def train(
                 round=round_idx,
                 epoch=global_epoch,
                 mean_loss=loss_sum / n,
-                selected_fraction=plan.selected_fraction,
+                selected_fraction=float(plan.selected.mean()),
                 **extra,
             )
         )
         global_epoch += 1
-        opt.epoch = global_epoch
 
-    warmup = _instance_plan(n)
+    # warm-up selects no anchor, so every sample trains on its instance term
+    warmup = RoundPlan(np.zeros(n), np.zeros(n, dtype=bool), np.arange(n)[:, None])
     for e in range(config.init_epochs_resolved):
         run_epoch(warmup, 0, e, {})
 
@@ -264,7 +251,7 @@ def train(
             # one-off mode plans once, at full selection, and never re-plans
             plan = plan_round(bank, config, config.rounds if config.one_off else r)
         if config.instance_only:
-            plan = replace(plan, selected=np.zeros(n, dtype=bool), neighbourhoods=())
+            plan = replace(plan, selected=np.zeros(n, dtype=bool))
         extra = dict(monitor(r, plan, bank, params)) if monitor is not None else {}
         for e in range(config.epochs_per_round):
             run_epoch(plan, r, e, extra)

@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from andkit.affinity import build_neighbourhoods, singleton
+from andkit.affinity import build_neighbourhoods
 from andkit.benchmark import benchmark_config, make_benchmark_splits, run_benchmark
 from andkit.cli import main as cli_main
 from andkit.encoder import EncoderConfig, backward, forward, init_params
@@ -27,10 +27,11 @@ def report(name, ok, detail=""):
     assert ok, f"{name}: {detail}"
 
 
-def make_plan(n, selected_idx, neighbourhoods):
+def make_plan(selected_idx, members):
+    n = len(members)
     mask = np.zeros(n, dtype=bool)
     mask[list(selected_idx)] = True
-    return RoundPlan(r=1, entropies=np.zeros(n), selected=mask, neighbourhoods=tuple(neighbourhoods))
+    return RoundPlan(entropies=np.zeros(n), selected=mask, members=members)
 
 
 # ----------------------------------------------------------------------
@@ -96,15 +97,16 @@ def test_gradient_correctness():
                 break
         sample_ids = [trial % n, (trial + 1) % n, (trial + 2) % n]
         selected = sample_ids[:1]
-        plan = make_plan(n, selected, [build_neighbourhoods(bank, k)[selected[0]]])
+        plan = make_plan(selected, build_neighbourhoods(bank, k))
+        members = plan.batch_members(sample_ids)
 
         def batch_loss(p):
             feats, _ = forward(p, inputs)
-            loss, _ = round_batch_loss(list(zip(sample_ids, feats)), plan, bank, tau)
+            loss, _ = round_batch_loss(feats, members, bank, tau)
             return loss
 
         feats, cache = forward(params, inputs)
-        _, gfeats = round_batch_loss(list(zip(sample_ids, feats)), plan, bank, tau)
+        _, gfeats = round_batch_loss(feats, members, bank, tau)
         grads = backward(params, cache, gfeats)
         for layer in range(len(params.weights)):
             for kind in ("weights", "biases"):
@@ -142,7 +144,7 @@ def test_loss_order_identity():
         nb = build_neighbourhoods(bank, 1 + trial % (n - 1))[i]
         neigh = neighbourhood_term(i, x, nb, bank, tau)
         worst_gap = max(worst_gap, neigh.loss - inst.loss)
-        single = neighbourhood_term(i, x, singleton(i), bank, tau)
+        single = neighbourhood_term(i, x, (i,), bank, tau)
         worst_singleton = max(worst_singleton, abs(single.loss - inst.loss))
     report(
         "loss-order identity",

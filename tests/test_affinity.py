@@ -5,16 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from andkit.affinity import (
-    Neighbourhood,
-    ProbRow,
-    build_neighbourhoods,
-    entropy,
-    entropy_rows,
-    prob_row,
-    singleton,
-)
+from andkit.affinity import build_neighbourhoods, entropy, entropy_rows, prob_row
 from andkit.errors import ConfigurationError, ContractError
+from andkit.losses import neighbourhood_term
 from andkit.memory import FeatureBank
 
 from conftest import random_bank, random_unit
@@ -29,22 +22,21 @@ class TestProbRow:
         bank = FeatureBank(features=np.array([[1.0, 0.0], [1.0, 0.0]]))
         for tau in (0.05, 0.07, 1.0):
             np.testing.assert_allclose(
-                prob_row([1.0, 0.0], bank, tau).probs, [0.5, 0.5], atol=1e-15
+                prob_row([1.0, 0.0], bank, tau), [0.5, 0.5], atol=1e-15
             )
 
     def test_direct_evaluation(self):
         # oracle: logits (1, 0, 1) at tau=1 -> (e, 1, e)/(2e+1)
         e = math.e
         expected = np.array([e, 1.0, e]) / (2 * e + 1)
-        row = prob_row([1.0, 0.0], three_row_bank(), tau=1.0, anchor=0)
-        np.testing.assert_allclose(row.probs, expected, atol=1e-15)
-        assert row.anchor == 0
+        row = prob_row([1.0, 0.0], three_row_bank(), tau=1.0)
+        np.testing.assert_allclose(row, expected, atol=1e-15)
 
     def test_small_tau_concentrates_on_argmax(self):
         bank = random_bank(8, 4, seed=31)
         query = bank.features[3]
         sims = bank.features @ query
-        probs = prob_row(query, bank, tau=1e-3).probs
+        probs = prob_row(query, bank, tau=1e-3)
         assert np.argmax(probs) == np.argmax(sims)
         assert probs[np.argmax(sims)] > 0.999
 
@@ -56,7 +48,7 @@ class TestProbRow:
     @settings(max_examples=30, deadline=None)
     def test_sums_to_one(self, seed, tau):
         bank = random_bank(20, 6, seed=seed)
-        probs = prob_row(random_unit(6, seed + 1), bank, tau).probs
+        probs = prob_row(random_unit(6, seed + 1), bank, tau)
         assert abs(probs.sum() - 1.0) <= 1e-9
         assert (probs >= 0).all()
 
@@ -75,72 +67,75 @@ class TestBuildNeighbourhoods:
 
     def test_tie_breaks_to_lower_index(self):
         nbs = build_neighbourhoods(three_row_bank(), k=1)
-        assert nbs[0].members == (0, 2)
-        assert nbs[2].members == (2, 0)
-        assert nbs[1].members == (1, 0)  # rows 0 and 2 tie at similarity 0 -> lower index
+        assert nbs[0].tolist() == [0, 2]
+        assert nbs[2].tolist() == [2, 0]
+        assert nbs[1].tolist() == [1, 0]  # rows 0 and 2 tie at similarity 0 -> lower index
 
     def test_matches_brute_force(self):
         bank = random_bank(12, 5, seed=77)
         nbs = build_neighbourhoods(bank, k=3)
-        for nb, expected in zip(nbs, self.brute_force(bank.features, 3)):
-            assert nb.members == expected
+        for row, expected in zip(nbs, self.brute_force(bank.features, 3)):
+            assert tuple(row.tolist()) == expected
 
     def test_full_k_contains_everyone(self):
         bank = random_bank(6, 4, seed=5)
-        for nb in build_neighbourhoods(bank, k=5):
-            assert sorted(nb.members) == list(range(6))
+        for row in build_neighbourhoods(bank, k=5):
+            assert sorted(row.tolist()) == list(range(6))
 
     def test_identical_rows_tie_rule(self):
         bank = FeatureBank(features=np.tile([1.0, 0.0], (4, 1)))
         nbs = build_neighbourhoods(bank, k=1)
-        assert nbs[0].members == (0, 1)
-        assert nbs[1].members == (1, 0)
-        assert nbs[3].members == (3, 0)
+        assert nbs[0].tolist() == [0, 1]
+        assert nbs[1].tolist() == [1, 0]
+        assert nbs[3].tolist() == [3, 0]
 
     def test_k_out_of_range_rejected(self):
         bank = random_bank(4, 4, seed=2)
-        for k in (0, 4):
+        for k in (-1, 4):
             with pytest.raises(ConfigurationError):
                 build_neighbourhoods(bank, k)
+        # k = 0 is the singleton case: each row holds only its anchor
+        np.testing.assert_array_equal(build_neighbourhoods(bank, 0), [[0], [1], [2], [3]])
 
     @given(st.integers(min_value=0, max_value=2**31), st.integers(min_value=1, max_value=5))
     @settings(max_examples=25, deadline=None)
     def test_anchor_always_a_member(self, seed, k):
         bank = random_bank(9, 4, seed=seed)
-        for nb in build_neighbourhoods(bank, k):
-            assert nb.anchor in nb.members
-            assert len(nb.members) == k + 1
+        nbs = build_neighbourhoods(bank, k)
+        assert nbs.shape == (9, k + 1)
+        np.testing.assert_array_equal(nbs[:, 0], np.arange(9))
 
     def test_membership_invariant_to_temperature(self):
         # the top-k by probability must match the top-k by raw similarity for any tau
         bank = random_bank(10, 4, seed=41)
         nbs = build_neighbourhoods(bank, k=2)
         for tau in (0.05, 0.07, 1.0):
-            for nb in nbs:
-                probs = prob_row(bank.features[nb.anchor], bank, tau).probs.copy()
-                probs[nb.anchor] = -np.inf
+            for anchor, *neighbours in nbs.tolist():
+                probs = prob_row(bank.features[anchor], bank, tau)
+                probs[anchor] = -np.inf
                 top = np.argsort(-probs, kind="stable")[:2]
-                assert set(top.tolist()) == set(nb.members) - {nb.anchor}
+                assert set(top.tolist()) == set(neighbours)
 
     def test_invalid_neighbourhood_construction_rejected(self):
+        bank, x = three_row_bank(), np.array([1.0, 0.0])
         with pytest.raises(ContractError):
-            Neighbourhood(anchor=0, members=(1, 2), k=1)
+            neighbourhood_term(0, x, (1, 2), bank, tau=1.0)
         with pytest.raises(ContractError):
-            Neighbourhood(anchor=0, members=(0, 0), k=1)
+            neighbourhood_term(0, x, (0, 0), bank, tau=1.0)
 
 
 class TestEntropy:
     def test_uniform_is_log_n(self):
-        assert entropy(ProbRow(probs=np.full(3, 1 / 3))) == pytest.approx(math.log(3), abs=1e-9)
+        assert entropy(np.full(3, 1 / 3)) == pytest.approx(math.log(3), abs=1e-9)
 
     def test_one_hot_is_zero(self):
-        assert entropy(ProbRow(probs=np.array([0.0, 1.0, 0.0]))) == 0.0
+        assert entropy(np.array([0.0, 1.0, 0.0])) == 0.0
 
     def test_direct_summation_oracle(self):
         e = math.e
         probs = np.array([e, 1.0, e]) / (2 * e + 1)
         oracle = -sum(p * math.log(p) for p in probs)
-        assert entropy(ProbRow(probs=probs)) == pytest.approx(oracle, abs=1e-12)
+        assert entropy(probs) == pytest.approx(oracle, abs=1e-12)
         assert oracle == pytest.approx(1.0173572075552149, abs=1e-12)
 
     @given(st.integers(min_value=0, max_value=2**31), st.integers(min_value=2, max_value=64))
@@ -149,16 +144,16 @@ class TestEntropy:
         from andkit.numerics import SeededRng, stable_softmax
 
         probs = stable_softmax(SeededRng(seed).uniforms(n) * 20 - 10)
-        h = entropy(ProbRow(probs=probs))
+        h = entropy(probs)
         assert -1e-12 <= h <= math.log(n) + 1e-9
 
     def test_maximum_only_at_uniform(self):
         n = 5
-        assert entropy(ProbRow(probs=np.full(n, 1 / n))) == pytest.approx(math.log(n), abs=1e-9)
+        assert entropy(np.full(n, 1 / n)) == pytest.approx(math.log(n), abs=1e-9)
         tilted = np.full(n, 1 / n)
         tilted[0] += 0.01
         tilted[1] -= 0.01
-        assert entropy(ProbRow(probs=tilted)) < math.log(n) - 1e-6
+        assert entropy(tilted) < math.log(n) - 1e-6
 
     def test_rows_variant_matches_scalar(self):
         bank = random_bank(7, 4, seed=3)
@@ -167,9 +162,4 @@ class TestEntropy:
         probs = stable_softmax(bank.features @ bank.features.T / 0.07)
         rows = entropy_rows(probs)
         for i in range(7):
-            assert rows[i] == pytest.approx(entropy(ProbRow(probs=probs[i])), abs=1e-12)
-
-
-def test_singleton_helper():
-    nb = singleton(4)
-    assert nb.members == (4,) and nb.k == 0 and nb.anchor == 4
+            assert rows[i] == pytest.approx(entropy(probs[i]), abs=1e-12)

@@ -57,12 +57,23 @@ class TestGenerate:
             run("generate", "--classes", 4, "--per-class", 10, "--dim", 8)
         assert exc.value.code == 2
 
-    def test_bad_flag_values_are_usage_errors(self, tmp_path):
+    def test_bad_flag_values_are_usage_errors(self, tmp_path, blob_file):
         code = run(
             "generate", "--classes", 1, "--per-class", 10, "--dim", 8,
             "--out", tmp_path / "x.ands",
         )
         assert code == 2
+        # flags are checked before any file is read
+        for tau in (0, -1, "nan", "inf"):
+            code = run(
+                "eval", "--checkpoint", tmp_path / "none.andc", "--data", tmp_path / "none.ands",
+                "--tau", tau,
+            )
+            assert code == 2
+        # k = N - 1 is the largest neighbourhood; one more is refused before training
+        code = run("train", "--data", blob_file, "--k", 100, "--out", tmp_path / "r")
+        assert code == 2
+        assert not (tmp_path / "r").exists()
 
     def test_deterministic_bytes(self, tmp_path):
         a, b = tmp_path / "a.ands", tmp_path / "b.ands"

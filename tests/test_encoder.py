@@ -46,8 +46,6 @@ class TestInitParams:
             EncoderConfig(layer_sizes=(4,))
         with pytest.raises(ConfigurationError):
             EncoderConfig(layer_sizes=(4, 1))  # output dim below 2
-        with pytest.raises(ConfigurationError):
-            EncoderConfig(layer_sizes=(4, 4), activation="tanh")
 
 
 class TestForward:

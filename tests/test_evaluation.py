@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from andkit.affinity import Neighbourhood, singleton
 from andkit.data import BlobSpec, Dataset, generate_blobs
 from andkit.encoder import EncoderConfig, init_params
 from andkit.errors import ContractError
 from andkit.evaluation import (
+    consistent_rows,
     knn_accuracy,
     knn_predict_batch,
     linear_probe,
@@ -172,21 +172,23 @@ class TestLinearProbe:
 
 class TestNeighbourhoodConsistency:
     def test_singleton_is_consistent(self):
-        assert neighbourhood_consistency([singleton(3)], [7, 7, 7, 9]) == (1, 0)
+        assert neighbourhood_consistency(np.array([[3]]), [7, 7, 7, 9]) == (1, 0)
 
     def test_mixed_labels_inconsistent(self):
-        nb = Neighbourhood(anchor=0, members=(0, 1, 2), k=2)
-        assert neighbourhood_consistency([nb], [0, 0, 1]) == (0, 1)
+        assert neighbourhood_consistency(np.array([[0, 1, 2]]), [0, 0, 1]) == (0, 1)
 
     def test_enumerated_counts(self):
         labels = [0, 0, 1, 1, 2]
-        nbs = [
-            Neighbourhood(anchor=0, members=(0, 1), k=1),  # pure
-            Neighbourhood(anchor=2, members=(2, 3), k=1),  # pure
-            Neighbourhood(anchor=4, members=(4,), k=0),  # pure singleton
-            Neighbourhood(anchor=1, members=(1, 2), k=1),  # mixed
-        ]
-        assert neighbourhood_consistency(nbs, labels) == (3, 1)
+        members = np.array(
+            [
+                [0, 1],  # pure
+                [2, 3],  # pure
+                [4, 4],  # pure singleton, padded with its anchor
+                [1, 2],  # mixed
+            ]
+        )
+        assert consistent_rows(members, labels).tolist() == [True, True, True, False]
+        assert neighbourhood_consistency(members, labels) == (3, 1)
 
     def test_counts_cover_all_anchors(self):
         bank = random_bank(10, 4, seed=6)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from andkit.affinity import Neighbourhood, build_neighbourhoods, singleton
+from andkit.affinity import build_neighbourhoods
 from andkit.errors import ContractError
 from andkit.losses import instance_term, neighbourhood_term, round_batch_loss
 from andkit.memory import FeatureBank
@@ -18,12 +18,18 @@ def three_row_bank():
     return FeatureBank(features=np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]]))
 
 
-def make_plan(n, selected_idx, neighbourhoods):
+def make_plan(selected_idx, members):
+    n = len(members)
     mask = np.zeros(n, dtype=bool)
     mask[list(selected_idx)] = True
-    return RoundPlan(
-        r=1, entropies=np.zeros(n), selected=mask, neighbourhoods=tuple(neighbourhoods)
-    )
+    return RoundPlan(entropies=np.zeros(n), selected=mask, members=np.asarray(members))
+
+
+def plan_batch_loss(batch, plan, bank, tau):
+    """round_batch_loss over (index, feature) pairs, member rows taken from the plan."""
+    indices = [i for i, _ in batch]
+    feats = np.stack([f for _, f in batch])
+    return round_batch_loss(feats, plan.batch_members(indices), bank, tau)
 
 
 class TestInstanceTerm:
@@ -55,28 +61,26 @@ class TestNeighbourhoodTerm:
         bank = random_bank(6, 4, seed=9)
         x = random_unit(4, seed=10)
         inst = instance_term(2, x, bank, tau=0.07)
-        nb = neighbourhood_term(2, x, singleton(2), bank, tau=0.07)
+        nb = neighbourhood_term(2, x, (2,), bank, tau=0.07)
         assert nb.loss == inst.loss
         np.testing.assert_array_equal(nb.grad, inst.grad)
 
     def test_direct_evaluation(self):
         # oracle: -log(2e / (2e+1))
-        nb = Neighbourhood(anchor=0, members=(0, 2), k=1)
-        term = neighbourhood_term(0, np.array([1.0, 0.0]), nb, three_row_bank(), tau=1.0)
+        term = neighbourhood_term(0, np.array([1.0, 0.0]), (0, 2), three_row_bank(), tau=1.0)
         assert term.loss == pytest.approx(-math.log(2 * math.e / (2 * math.e + 1)), abs=1e-12)
         assert term.loss == pytest.approx(0.1688476234983058, abs=1e-12)
 
     def test_all_members_gives_zero(self):
         bank = random_bank(5, 4, seed=3)
-        nb = Neighbourhood(anchor=1, members=(1, 0, 2, 3, 4), k=4)
-        term = neighbourhood_term(1, random_unit(4, seed=4), nb, bank, tau=0.07)
+        term = neighbourhood_term(1, random_unit(4, seed=4), (1, 0, 2, 3, 4), bank, tau=0.07)
         assert abs(term.loss) <= 1e-12
         np.testing.assert_allclose(term.grad, 0.0, atol=1e-12)
 
     def test_anchor_mismatch_rejected(self):
         bank = random_bank(4, 4, seed=1)
         with pytest.raises(ContractError):
-            neighbourhood_term(0, bank.features[0], singleton(1), bank, tau=0.07)
+            neighbourhood_term(0, bank.features[0], (1,), bank, tau=0.07)
 
     def test_gradient_matches_finite_differences(self):
         for trial in range(20):
@@ -105,9 +109,9 @@ class TestNeighbourhoodTerm:
 class TestRoundBatchLoss:
     def test_all_unselected_is_mean_instance_loss(self):
         bank = random_bank(6, 4, seed=20)
-        plan = make_plan(6, [], [])
+        plan = make_plan([], build_neighbourhoods(bank, k=2))
         batch = [(i, random_unit(4, seed=i + 50)) for i in range(4)]
-        loss, grads = round_batch_loss(batch, plan, bank, tau=0.07)
+        loss, grads = plan_batch_loss(batch, plan, bank, tau=0.07)
         oracle = [instance_term(i, f, bank, 0.07) for i, f in batch]
         assert loss == pytest.approx(np.mean([t.loss for t in oracle]), abs=1e-12)
         for row, term in zip(grads, oracle):
@@ -115,18 +119,18 @@ class TestRoundBatchLoss:
 
     def test_all_selected_singletons_is_mean_instance_loss(self):
         bank = random_bank(5, 4, seed=21)
-        plan = make_plan(5, range(5), [singleton(i) for i in range(5)])
+        plan = make_plan(range(5), build_neighbourhoods(bank, k=0))
         batch = [(i, random_unit(4, seed=i + 60)) for i in range(5)]
-        loss, _ = round_batch_loss(batch, plan, bank, tau=0.07)
+        loss, _ = plan_batch_loss(batch, plan, bank, tau=0.07)
         oracle = np.mean([instance_term(i, f, bank, 0.07).loss for i, f in batch])
         assert loss == pytest.approx(oracle, abs=1e-12)
 
     def test_mixed_pair_is_arithmetic_mean(self):
         bank = random_bank(6, 4, seed=22)
         nbs = build_neighbourhoods(bank, k=2)
-        plan = make_plan(6, [1], [nbs[1]])
+        plan = make_plan([1], nbs)
         x0, x1 = random_unit(4, seed=70), random_unit(4, seed=71)
-        loss, grads = round_batch_loss([(0, x0), (1, x1)], plan, bank, tau=0.07)
+        loss, grads = plan_batch_loss([(0, x0), (1, x1)], plan, bank, tau=0.07)
         t0 = instance_term(0, x0, bank, 0.07)
         t1 = neighbourhood_term(1, x1, nbs[1], bank, 0.07)
         assert loss == pytest.approx((t0.loss + t1.loss) / 2.0, abs=1e-12)
@@ -136,20 +140,24 @@ class TestRoundBatchLoss:
     def test_order_invariance(self):
         bank = random_bank(6, 4, seed=23)
         nbs = build_neighbourhoods(bank, k=1)
-        plan = make_plan(6, [0, 3], [nbs[0], nbs[3]])
+        plan = make_plan([0, 3], nbs)
         batch = [(i, random_unit(4, seed=i + 80)) for i in range(5)]
-        loss_fwd, _ = round_batch_loss(batch, plan, bank, tau=0.07)
-        loss_rev, _ = round_batch_loss(batch[::-1], plan, bank, tau=0.07)
+        loss_fwd, _ = plan_batch_loss(batch, plan, bank, tau=0.07)
+        loss_rev, _ = plan_batch_loss(batch[::-1], plan, bank, tau=0.07)
         assert loss_fwd == pytest.approx(loss_rev, abs=1e-12)
 
-    def test_index_missing_from_plan_rejected(self):
-        bank = random_bank(4, 4, seed=24)
-        plan = make_plan(2, [], [])  # plan only covers samples 0..1
-        with pytest.raises(ContractError):
-            round_batch_loss([(3, random_unit(4, seed=1))], plan, bank, tau=0.07)
+    def test_repeated_index_counts_once(self):
+        bank = random_bank(6, 4, seed=26)
+        x = random_unit(4, seed=90)
+        loss, grads = round_batch_loss(x[None], [[2, 2, 5]], bank, tau=0.07)
+        oracle = neighbourhood_term(2, x, (2, 5), bank, 0.07)
+        assert loss == pytest.approx(oracle.loss, abs=1e-12)
+        np.testing.assert_allclose(grads[0], oracle.grad, atol=1e-12)
+        # an instance row padded with its anchor is the instance term
+        loss, _ = round_batch_loss(x[None], [[3, 3, 3]], bank, tau=0.07)
+        assert loss == pytest.approx(instance_term(3, x, bank, 0.07).loss, abs=1e-12)
 
-    def test_selected_without_neighbourhood_rejected(self):
-        bank = random_bank(4, 4, seed=25)
-        plan = make_plan(4, [2], [])  # mask says selected but nothing stored
+    def test_index_missing_from_plan_rejected(self):
+        plan = make_plan([], np.arange(2)[:, None])  # plan only covers samples 0..1
         with pytest.raises(ContractError):
-            round_batch_loss([(2, random_unit(4, seed=2))], plan, bank, tau=0.07)
+            plan.batch_members([3])

@@ -89,8 +89,19 @@ class TestPlanRound:
         cfg = small_config(layer_sizes=(2, 4), rounds=1, k=1)
         plan = plan_round(bank, cfg, r=1)
         assert plan.selected.all()
-        by_anchor = {nb.anchor: nb.members for nb in plan.neighbourhoods}
-        assert by_anchor == {0: (0, 2), 1: (1, 0), 2: (2, 0)}
+        assert plan.members.tolist() == [[0, 2], [1, 0], [2, 0]]
+
+    def test_batch_members_collapse_unselected_rows(self):
+        bank = FeatureBank(features=np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]]))
+        cfg = small_config(layer_sizes=(2, 4), rounds=3, k=1)
+        plan = plan_round(bank, cfg, r=1)  # selects only anchor 1, the peaked row
+        np.testing.assert_array_equal(plan.selected, [False, True, False])
+        assert plan.batch_members([2, 0, 1]).tolist() == [[2, 2], [0, 0], [1, 0]]
+
+    def test_singleton_plan_when_search_disabled(self):
+        bank = random_bank(5, 4, seed=7)
+        cfg = small_config(layer_sizes=(4, 4), force_singleton_neighbourhoods=True)
+        np.testing.assert_array_equal(plan_round(bank, cfg, 1).members, np.arange(5)[:, None])
 
     def test_recompute_identical(self):
         bank = random_bank(10, 4, seed=6)
@@ -98,7 +109,7 @@ class TestPlanRound:
         a, b = plan_round(bank, cfg, 2), plan_round(bank, cfg, 2)
         np.testing.assert_array_equal(a.entropies, b.entropies)
         np.testing.assert_array_equal(a.selected, b.selected)
-        assert a.neighbourhoods == b.neighbourhoods
+        np.testing.assert_array_equal(a.members, b.members)
 
     def test_entropies_match_per_row_oracle(self):
         from andkit.affinity import entropy, prob_row
@@ -106,7 +117,7 @@ class TestPlanRound:
         bank = random_bank(7, 4, seed=8)
         got = bank_entropies(bank, tau=0.07)
         for i in range(7):
-            expected = entropy(prob_row(bank.features[i], bank, 0.07, anchor=i))
+            expected = entropy(prob_row(bank.features[i], bank, 0.07))
             assert got[i] == pytest.approx(expected, abs=1e-12)
 
 
@@ -204,6 +215,19 @@ class TestTrain:
     def test_invalid_config_rejected(self):
         with pytest.raises(ConfigurationError):
             train(small_inputs(), small_config(rounds=0))
+
+    def test_k_beyond_n_rejected_before_warmup(self, monkeypatch):
+        import andkit.pipeline as pipeline
+
+        calls = []
+        real = pipeline.make_batches
+        monkeypatch.setattr(pipeline, "make_batches", lambda *a: calls.append(a) or real(*a))
+        with pytest.raises(ConfigurationError, match="k must"):
+            train(small_inputs(n=24), small_config(k=24))
+        assert calls == []
+        # with k-NN search disabled the same k is never used, so the run goes ahead
+        train(small_inputs(n=24), small_config(k=24, force_singleton_neighbourhoods=True))
+        assert calls
 
 
 class TestCheckpoint:
