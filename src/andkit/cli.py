@@ -1,10 +1,11 @@
-"""Command-line entry point: generate, train, eval, inspect.
+"""Command-line entry point: generate, train, eval, inspect, curve.
 
 Every command is flags-only and honours --seed; a train run writes a
 manifest with the fully resolved configuration, and re-running from that
 manifest reproduces the checkpoint and metrics byte for byte.
 
-Exit codes: 0 success, 1 runtime failure, 2 usage error.
+Exit codes: 0 success, 1 runtime failure, 2 usage error: a missing or malformed
+flag, or any out-of-range flag or manifest value (a `ConfigurationError`).
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from pathlib import Path
 from . import __version__
 from .affinity import build_neighbourhoods
 from .data import BlobSpec, Dataset, generate_blobs, load_dataset, save_bin, save_csv
-from .errors import AndkitError, ContractError
+from .errors import AndkitError, ConfigurationError, ContractError
 from .evaluation import (
     DEFAULT_EVAL_TAU,
     DEFAULT_K_EVAL,
@@ -60,16 +61,10 @@ def _parse_layers(text: str) -> tuple[int, ...]:
         sizes = tuple(int(part) for part in text.split(","))
     except ValueError:
         raise _UsageError(f"--layers expects comma-separated integers, got {text!r}") from None
-    if not sizes or any(s < 1 for s in sizes):
-        raise _UsageError(f"--layers sizes must be positive, got {text!r}")
     return sizes
 
 
 def cmd_generate(args) -> int:
-    if args.classes < 2 or args.per_class < 2 or args.dim < 2:
-        raise _UsageError("--classes, --per-class need >= 2 and --dim >= 2")
-    if not args.noise_sigma > 0:
-        raise _UsageError("--noise-sigma must be > 0")
     dataset = generate_blobs(
         BlobSpec(
             num_classes=args.classes,
@@ -86,18 +81,6 @@ def cmd_generate(args) -> int:
         save_bin(dataset, args.out)
     print(f"wrote {dataset.n} samples ({dataset.dim} dims, {args.classes} classes) to {args.out}")
     return 0
-
-
-def _config_to_jsonable(config: TrainConfig) -> dict:
-    blob = dataclasses.asdict(config)
-    blob["layer_sizes"] = list(blob["layer_sizes"])
-    return blob
-
-
-def _config_from_jsonable(blob: dict) -> TrainConfig:
-    blob = dict(blob)
-    blob["layer_sizes"] = tuple(blob["layer_sizes"])
-    return TrainConfig(**blob)
 
 
 def _make_monitor(dataset: Dataset, tau: float):
@@ -121,28 +104,19 @@ def _make_monitor(dataset: Dataset, tau: float):
 def cmd_train(args) -> int:
     if args.manifest:
         manifest = json.loads(Path(args.manifest).read_text())
-        config = _config_from_jsonable(manifest["config"])
+        config = TrainConfig(**manifest["config"])
         data_path = manifest["data"]
         out_dir = Path(args.out) if args.out else Path(manifest["out"])
+        dataset = load_dataset(data_path)
     else:
         if not args.data or not args.out:
             raise _UsageError("--data and --out are required (or use --manifest)")
-        if args.rounds < 1:
-            raise _UsageError("--rounds must be >= 1")
-        if args.epochs < 0 or (args.init_epochs is not None and args.init_epochs < 0):
-            raise _UsageError("epoch counts must be >= 0")
-        if args.batch_size < 1 or args.k < 1:
-            raise _UsageError("--batch-size and --k must be >= 1")
-        if not (args.lr > 0 and args.tau > 0 and 0 < args.eta <= 1):
-            raise _UsageError("--lr and --tau must be > 0, --eta in (0, 1]")
         data_path = args.data
         out_dir = Path(args.out)
-        peek = load_dataset(data_path)
-        if args.k > peek.n - 1:
-            raise _UsageError(f"--k must be <= {peek.n - 1} for {peek.n} samples")
+        dataset = load_dataset(data_path)
         init_epochs = 0 if args.init == "none" else args.init_epochs
         config = TrainConfig(
-            layer_sizes=(peek.dim,) + _parse_layers(args.layers),
+            layer_sizes=(dataset.dim,) + _parse_layers(args.layers),
             rounds=args.rounds,
             epochs_per_round=args.epochs,
             init_epochs=init_epochs,
@@ -158,7 +132,6 @@ def cmd_train(args) -> int:
             instance_only=args.instance_only,
         )
 
-    dataset = load_dataset(data_path)
     monitor = _make_monitor(dataset, DEFAULT_EVAL_TAU) if dataset.labels is not None else None
     params, bank, records = train(dataset.inputs, config, monitor=monitor)
 
@@ -173,7 +146,7 @@ def cmd_train(args) -> int:
         "command": "train",
         "data": str(data_path),
         "out": str(out_dir),
-        "config": _config_to_jsonable(config),
+        "config": dataclasses.asdict(config),
     }
     (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     final = records[-1].mean_loss if records else float("nan")
@@ -183,8 +156,6 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    if args.knn_k < 1:
-        raise _UsageError("--knn-k must be >= 1")
     if not (math.isfinite(args.tau) and args.tau > 0):
         raise _UsageError(f"--tau must be a finite number > 0, got {args.tau}")
     ckpt = load_checkpoint(args.checkpoint)
@@ -350,7 +321,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _UsageError as err:
+    except (_UsageError, ConfigurationError) as err:
         print(f"usage error: {err}", file=sys.stderr)
         return 2
     except (AndkitError, OSError) as err:

@@ -155,7 +155,7 @@ def load_csv(path) -> Dataset:
         raise ParseError(f"{path}: need at least 2 data rows, got {len(rows)}")
     label_arr = np.asarray(labels, dtype=np.int32)
     absent = label_arr == -1
-    if absent.any() and not absent.all():
+    if (label_arr < -1).any() or (absent.any() and not absent.all()):
         raise ParseError(f"{path}: labels must be all present or all -1")
     return Dataset(
         inputs=np.asarray(rows, dtype=np.float64),
@@ -195,6 +195,8 @@ def load_bin(path) -> Dataset:
     labels = None
     if has_labels:
         labels = np.frombuffer(blob, dtype="<i4", count=n, offset=off + 4 * n * d)
+        if (labels < 0).any():
+            raise FormatError(f"{path}: negative class id {int(labels.min())}")
     return Dataset(inputs=inputs.astype(np.float64), labels=labels, name=str(path))
 
 

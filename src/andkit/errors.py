@@ -14,7 +14,7 @@ class DegenerateInputError(AndkitError, ValueError):
 
 
 class ConfigurationError(AndkitError, ValueError):
-    """A parameter value lies outside its documented range."""
+    """A parameter is out of range; the CLI reports it as exit 2, loaders never raise it."""
 
 
 class ContractError(AndkitError, ValueError):

@@ -14,6 +14,7 @@ bank row so self-similarity cannot inflate accuracy.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -156,6 +157,10 @@ def linear_probe(
     The probe starts from zeros, so the run is deterministic and zero
     epochs leaves the all-ties probe that predicts class 0 everywhere.
     """
+    if epochs < 0:
+        raise ConfigurationError(f"probe epochs must be >= 0, got {epochs}")
+    if not (math.isfinite(lr) and lr > 0):
+        raise ConfigurationError(f"probe lr must be a finite number > 0, got {lr}")
     tr_labels = _check_labels(train_split.labels)
     te_labels = _check_labels(test_split.labels)
     tr_feats, _ = forward(params, train_split.inputs)

@@ -1,10 +1,10 @@
 """Dense float64 primitives and a portable deterministic RNG.
 
-Everything downstream funnels through three vector operations (`dot`,
-`l2_normalize`, `stable_softmax`) and the `SeededRng` generator, so their
-contracts are deliberately strict: float64 in, float64 out, no NaN/Inf
-survivors. Vectors are plain 1-D ``numpy.ndarray`` values and matrices are
-row-major 2-D arrays; no wrapper classes.
+Package code normalises (`l2_normalize`, `l2_normalize_rows`), takes softmaxes
+(`stable_softmax`) and draws random numbers (`SeededRng`) only through this
+module; `dot` is kept for library callers. All are float64 in, float64 out.
+Vectors are plain 1-D ``numpy.ndarray`` values and matrices are row-major
+2-D arrays; no wrapper classes.
 
 The RNG is xorshift64* (Marsaglia's 64-bit xorshift with a multiplicative
 finaliser), seeded through one splitmix64 mixing step. The algorithm is

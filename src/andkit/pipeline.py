@@ -17,7 +17,7 @@ Checkpoint format (extension ``.andc``, all integers little-endian):
 
     magic    4 bytes  b"ANDC"
     version  u16      1
-    config   fixed-order block:
+    config   fixed-order block (`_CONFIG_FIELDS` order, packed by `_CONFIG`):
         rounds, epochs_per_round, init_epochs*, batch_size, k,
         final_round                                   each u32
         seed                                          i64
@@ -32,8 +32,9 @@ Checkpoint format (extension ``.andc``, all integers little-endian):
 
 from __future__ import annotations
 
+import math
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -58,8 +59,26 @@ from .numerics import SeededRng, derive_seed, stable_softmax
 _MAGIC = b"ANDC"
 _VERSION = 1
 _HEAD = struct.Struct("<4sH")
-_CONFIG = struct.Struct("<6IqBBBBdddd")
+_CONFIG = struct.Struct("<6Iq????dddd")  # "?": the four flags are u8 0/1 on disk
 _INIT_UNSET = 0xFFFFFFFF
+# Field order of the checkpoint config block; `_CONFIG` gives each one's type.
+_CONFIG_FIELDS = (
+    "rounds",
+    "epochs_per_round",
+    "init_epochs",
+    "batch_size",
+    "k",
+    "final_round",
+    "seed",
+    "lr_reset_per_round",
+    "one_off",
+    "instance_only",
+    "force_singleton_neighbourhoods",
+    "base_lr",
+    "momentum",
+    "tau",
+    "eta",
+)
 
 MonitorFn = Callable[[int, "RoundPlan", FeatureBank, EncoderParams], dict]
 
@@ -87,24 +106,29 @@ class TrainConfig:
     def __post_init__(self):
         object.__setattr__(self, "layer_sizes", tuple(int(s) for s in self.layer_sizes))
 
-    def validate(self) -> None:
+    def validate(self, n: int | None = None) -> None:
+        """Raise ConfigurationError for an out-of-range field or, given `n`, sample count."""
         if self.rounds < 1:
             raise ConfigurationError(f"rounds must be >= 1, got {self.rounds}")
         if self.epochs_per_round < 0 or (self.init_epochs is not None and self.init_epochs < 0):
             raise ConfigurationError("epoch counts must be >= 0")
         if self.batch_size < 1:
             raise ConfigurationError(f"batch_size must be >= 1, got {self.batch_size}")
-        if not self.base_lr > 0:
-            raise ConfigurationError(f"base_lr must be > 0, got {self.base_lr}")
-        if self.momentum < 0:
-            raise ConfigurationError(f"momentum must be >= 0, got {self.momentum}")
-        if not self.tau > 0:
-            raise ConfigurationError(f"tau must be > 0, got {self.tau}")
+        if not (math.isfinite(self.base_lr) and self.base_lr > 0):
+            raise ConfigurationError(f"base_lr must be a finite number > 0, got {self.base_lr}")
+        if not (math.isfinite(self.momentum) and self.momentum >= 0):
+            raise ConfigurationError(f"momentum must be a finite number >= 0, got {self.momentum}")
+        if not (math.isfinite(self.tau) and self.tau > 0):
+            raise ConfigurationError(f"tau must be a finite number > 0, got {self.tau}")
         if not 0.0 < self.eta <= 1.0:
             raise ConfigurationError(f"eta must lie in (0, 1], got {self.eta}")
         if self.k < 1:
             raise ConfigurationError(f"k must be >= 1, got {self.k}")
         EncoderConfig(layer_sizes=self.layer_sizes)
+        if n is not None and n < 2:
+            raise ConfigurationError(f"need at least 2 samples, got {n}")
+        if n is not None and self.neighbourhood_k > n - 1:
+            raise ConfigurationError(f"k must lie in [1, {n - 1}] for {n} samples, got {self.k}")
 
     @property
     def init_epochs_resolved(self) -> int:
@@ -190,19 +214,15 @@ def train(
     (round, plan, bank, params) and may return extra MetricsRecord fields
     (consistency counts, kNN accuracy) merged into that round's records.
     """
-    config.validate()
     x = np.asarray(inputs, dtype=np.float64)
     if x.ndim != 2:
         raise ConfigurationError(f"inputs must be a 2-D matrix, got shape {x.shape}")
     n = x.shape[0]
+    config.validate(n)
     if x.shape[1] != config.layer_sizes[0]:
         raise ConfigurationError(
             f"input dim {x.shape[1]} != first layer size {config.layer_sizes[0]}"
         )
-    if n < 2:
-        raise ConfigurationError(f"need at least 2 samples, got {n}")
-    if config.neighbourhood_k > n - 1:
-        raise ConfigurationError(f"k must lie in [1, {n - 1}] for {n} samples, got {config.k}")
 
     params = init_params(EncoderConfig(config.layer_sizes, seed=derive_seed(config.seed, 1)))
     bank = init_bank(n, config.layer_sizes[-1], SeededRng(derive_seed(config.seed, 2)), config.eta)
@@ -277,29 +297,13 @@ def save_checkpoint(
     sizes = params.layer_sizes
     if tuple(config.layer_sizes) != sizes:
         raise ContractError(f"config layers {config.layer_sizes} != params layers {sizes}")
-    final_round = config.rounds if final_round is None else final_round
-    init_epochs = _INIT_UNSET if config.init_epochs is None else config.init_epochs
+    fields = asdict(config) | {
+        "final_round": config.rounds if final_round is None else final_round,
+        "init_epochs": _INIT_UNSET if config.init_epochs is None else config.init_epochs,
+    }
     with open(path, "wb") as fh:
         fh.write(_HEAD.pack(_MAGIC, _VERSION))
-        fh.write(
-            _CONFIG.pack(
-                config.rounds,
-                config.epochs_per_round,
-                init_epochs,
-                config.batch_size,
-                config.k,
-                final_round,
-                config.seed,
-                int(config.lr_reset_per_round),
-                int(config.one_off),
-                int(config.instance_only),
-                int(config.force_singleton_neighbourhoods),
-                config.base_lr,
-                config.momentum,
-                config.tau,
-                config.eta,
-            )
-        )
+        fh.write(_CONFIG.pack(*(fields[name] for name in _CONFIG_FIELDS)))
         fh.write(struct.pack("<I", len(sizes)))
         fh.write(struct.pack(f"<{len(sizes)}I", *sizes))
         for w, b in zip(params.weights, params.biases):
@@ -329,23 +333,7 @@ def load_checkpoint(path, expect_layer_sizes: tuple[int, ...] | None = None) -> 
         raise FormatError(f"{path}: bad magic {magic!r}")
     if version != _VERSION:
         raise FormatError(f"{path}: unsupported version {version}")
-    (
-        rounds,
-        epochs_per_round,
-        init_epochs,
-        batch_size,
-        k,
-        final_round,
-        seed,
-        lr_reset,
-        one_off,
-        instance_only,
-        force_singleton,
-        base_lr,
-        momentum,
-        tau,
-        eta,
-    ) = _CONFIG.unpack(take(_CONFIG.size))
+    fields = dict(zip(_CONFIG_FIELDS, _CONFIG.unpack(take(_CONFIG.size))))
     (num_sizes,) = struct.unpack("<I", take(4))
     if num_sizes < 2:
         raise FormatError(f"{path}: invalid layer count {num_sizes}")
@@ -366,26 +354,19 @@ def load_checkpoint(path, expect_layer_sizes: tuple[int, ...] | None = None) -> 
     features = np.frombuffer(take(8 * bank_n * bank_d), dtype="<f8").reshape(bank_n, bank_d).copy()
     if off != len(blob):
         raise FormatError(f"{path}: {len(blob) - off} trailing bytes")
-    config = TrainConfig(
-        layer_sizes=tuple(sizes),
-        rounds=rounds,
-        epochs_per_round=epochs_per_round,
-        init_epochs=None if init_epochs == _INIT_UNSET else init_epochs,
-        batch_size=batch_size,
-        base_lr=base_lr,
-        momentum=momentum,
-        tau=tau,
-        eta=eta,
-        k=k,
-        seed=seed,
-        lr_reset_per_round=bool(lr_reset),
-        one_off=bool(one_off),
-        instance_only=bool(instance_only),
-        force_singleton_neighbourhoods=bool(force_singleton),
-    )
+    final_round = fields.pop("final_round")
+    if fields["init_epochs"] == _INIT_UNSET:
+        fields["init_epochs"] = None
+    config = TrainConfig(layer_sizes=sizes, **fields)
+    try:
+        config.validate(bank_n)
+        if not 1 <= final_round <= config.rounds:
+            raise ConfigurationError(f"final_round {final_round} outside [1, {config.rounds}]")
+    except ConfigurationError as err:
+        raise FormatError(f"{path}: invalid config: {err}") from err
     return Checkpoint(
         params=EncoderParams(weights=weights, biases=biases),
-        bank=FeatureBank(features=features, eta=eta),
+        bank=FeatureBank(features=features, eta=config.eta),
         config=config,
         final_round=final_round,
     )

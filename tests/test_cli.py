@@ -57,7 +57,7 @@ class TestGenerate:
             run("generate", "--classes", 4, "--per-class", 10, "--dim", 8)
         assert exc.value.code == 2
 
-    def test_bad_flag_values_are_usage_errors(self, tmp_path, blob_file):
+    def test_bad_flag_values_are_usage_errors(self, tmp_path, blob_file, run_dir):
         code = run(
             "generate", "--classes", 1, "--per-class", 10, "--dim", 8,
             "--out", tmp_path / "x.ands",
@@ -74,6 +74,25 @@ class TestGenerate:
         code = run("train", "--data", blob_file, "--k", 100, "--out", tmp_path / "r")
         assert code == 2
         assert not (tmp_path / "r").exists()
+        for flag, value in (
+            ("--momentum", -1), ("--momentum", "nan"), ("--lr", "inf"), ("--tau", "inf"),
+            ("--layers", "24,1"),
+        ):
+            code = run("train", "--data", blob_file, flag, value, "--out", tmp_path / "r")
+            assert code == 2, (flag, value)
+            assert not (tmp_path / "r").exists()
+        manifest = json.loads((run_dir / "manifest.json").read_text())
+        manifest["config"]["rounds"] = 0
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        code = run("train", "--manifest", tmp_path / "manifest.json", "--out", tmp_path / "r")
+        assert code == 2
+        assert not (tmp_path / "r").exists()
+        for args in (("--knn-k", 100), ("--probe", "--probe-lr", "nan"),
+                     ("--probe", "--probe-epochs", -1)):
+            code = run(
+                "eval", "--checkpoint", run_dir / "checkpoint.andc", "--data", blob_file, *args
+            )
+            assert code == 2, args
 
     def test_deterministic_bytes(self, tmp_path):
         a, b = tmp_path / "a.ands", tmp_path / "b.ands"
@@ -109,6 +128,18 @@ class TestTrain:
             "train", "--data", blob_file, "--rounds", 0, "--out", tmp_path / "r",
         )
         assert code == 2
+
+    def test_dataset_read_once(self, blob_file, tmp_path, monkeypatch):
+        import andkit.cli as cli
+
+        calls = []
+        real = cli.load_dataset
+        monkeypatch.setattr(cli, "load_dataset", lambda path: calls.append(path) or real(path))
+        assert run(
+            "train", "--data", blob_file, "--rounds", 1, "--epochs", 1, "--init-epochs", 1,
+            "--layers", "24,8", "--out", tmp_path / "once",
+        ) == 0
+        assert calls == [str(blob_file)]
 
     def test_manifest_rerun_bit_identical(self, run_dir, tmp_path):
         out2 = tmp_path / "rerun"

@@ -71,6 +71,12 @@ class TestCsvRoundTrip:
         with pytest.raises(ParseError, match="all present or all -1"):
             load_csv(path)
 
+    def test_label_below_minus_one_rejected(self, tmp_path):
+        path = tmp_path / "negative.csv"
+        path.write_text("label,f0,f1\n0,1.0,2.0\n-2,3.0,4.0\n")
+        with pytest.raises(ParseError, match="all present or all -1"):
+            load_csv(path)
+
     def test_ragged_row_names_line(self, tmp_path):
         path = tmp_path / "ragged.csv"
         path.write_text("label,f0,f1\n0,1.0,2.0\n1,3.0\n")
@@ -119,6 +125,16 @@ class TestBinRoundTrip:
         path = tmp_path / "zero.ands"
         path.write_bytes(struct.pack("<4sHBBII", b"ANDS", 1, 0, 0, 0, 4))
         with pytest.raises(FormatError):
+            load_bin(path)
+
+    def test_negative_class_id_rejected(self, tmp_path):
+        ds = generate_blobs(BlobSpec(2, 3, 4, seed=2))
+        path = tmp_path / "negative.ands"
+        save_bin(ds, path)
+        blob = bytearray(path.read_bytes())
+        blob[-4:] = (-3).to_bytes(4, "little", signed=True)  # last sample's label
+        path.write_bytes(bytes(blob))
+        with pytest.raises(FormatError, match="negative class id"):
             load_bin(path)
 
     def test_truncated_payload_rejected(self, tmp_path):

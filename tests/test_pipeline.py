@@ -264,6 +264,24 @@ class TestCheckpoint:
         with pytest.raises(FormatError, match="magic"):
             load_checkpoint(path)
 
+    def test_out_of_range_config_rejected(self, tmp_path):
+        import struct
+
+        _, _, cfg, path, _ = self.roundtrip(tmp_path)
+        good = path.read_bytes()
+        # the config block opens with six u32 fields after the 6-byte header:
+        # rounds, epochs_per_round, init_epochs, batch_size, k, final_round
+        for slot, value in ((0, 0), (4, 500), (4, 24), (5, 0), (5, cfg.rounds + 1)):
+            blob = bytearray(good)
+            struct.pack_into("<I", blob, 6 + 4 * slot, value)
+            path.write_bytes(bytes(blob))
+            with pytest.raises(FormatError, match="invalid config"):
+                load_checkpoint(path)
+        blob = bytearray(good)
+        struct.pack_into("<I", blob, 6 + 4 * 5, 1)  # an earlier round is in range
+        path.write_bytes(bytes(blob))
+        assert load_checkpoint(path).final_round == 1
+
     def test_layer_shape_guard_on_resume(self, tmp_path):
         _, _, _, path, _ = self.roundtrip(tmp_path)
         with pytest.raises(FormatError, match="layers"):
