@@ -16,7 +16,7 @@ from .errors import AndkitError
 from .evaluation import EvalReport, knn_accuracy, linear_probe, neighbourhood_consistency
 from .losses import LossGrad, instance_term, neighbourhood_term, round_batch_loss
 from .memory import FeatureBank, all_similarities, init_bank, update_batch
-from .numerics import SeededRng, dot, l2_normalize, stable_softmax
+from .numerics import SeededRng, l2_normalize, stable_softmax
 from .pipeline import (
     Checkpoint,
     MetricsRecord,
@@ -46,7 +46,6 @@ __all__ = [
     "TrainConfig",
     "all_similarities",
     "build_neighbourhoods",
-    "dot",
     "entropy",
     "forward",
     "generate_blobs",

@@ -23,8 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .cli import _make_monitor
 from .data import BlobSpec, Dataset, generate_blobs
-from .evaluation import knn_accuracy, neighbourhood_consistency
+from .evaluation import knn_accuracy
 from .pipeline import TrainConfig, train
 
 BENCH_LR = 0.03 * 128  # per-sample step of 0.03, rescaled for mean reduction
@@ -46,15 +47,10 @@ def make_benchmark_splits(
     ds = generate_blobs(
         BlobSpec(classes, per_class, dim, center_scale=center_scale, noise_sigma=noise_sigma, seed=seed)
     )
-    train_rows = np.concatenate(
-        [np.arange(c * per_class, c * per_class + per_class_half) for c in range(classes)]
-    )
-    test_rows = np.concatenate(
-        [np.arange(c * per_class + per_class_half, (c + 1) * per_class) for c in range(classes)]
-    )
+    first_half = np.arange(ds.n) % per_class < per_class_half  # rows are class-major
     return (
-        Dataset(inputs=ds.inputs[train_rows], labels=ds.labels[train_rows], name=ds.name + "-train"),
-        Dataset(inputs=ds.inputs[test_rows], labels=ds.labels[test_rows], name=ds.name + "-test"),
+        Dataset(inputs=ds.inputs[first_half], labels=ds.labels[first_half]),
+        Dataset(inputs=ds.inputs[~first_half], labels=ds.labels[~first_half]),
     )
 
 
@@ -78,24 +74,14 @@ class BenchmarkResult:
     train_accuracy: float  # leave-one-out weighted kNN on the training split
     test_accuracy: float
     consistent_per_round: dict[int, int]  # class-consistent selected neighbourhoods
-    inconsistent_per_round: dict[int, int]
 
 
 def run_benchmark(train_split: Dataset, test_split: Dataset, config: TrainConfig) -> BenchmarkResult:
-    consistent: dict[int, int] = {}
-    inconsistent: dict[int, int] = {}
-
-    def monitor(r, plan, bank, params):
-        c, i = neighbourhood_consistency(plan.members[plan.selected], train_split.labels)
-        consistent[r], inconsistent[r] = c, i
-        return {"consistent_count": c, "inconsistent_count": i}
-
-    params, bank, _ = train(train_split.inputs, config, monitor=monitor)
+    params, bank, records = train(train_split.inputs, config, monitor=_make_monitor(train_split))
     return BenchmarkResult(
         train_accuracy=knn_accuracy(
-            train_split, params, bank, train_split.labels, k_eval=10, leave_one_out=True
+            train_split, params, bank, train_split.labels, leave_one_out=True
         ),
-        test_accuracy=knn_accuracy(test_split, params, bank, train_split.labels, k_eval=10),
-        consistent_per_round=consistent,
-        inconsistent_per_round=inconsistent,
+        test_accuracy=knn_accuracy(test_split, params, bank, train_split.labels),
+        consistent_per_round={rec.round: rec.consistent_count for rec in records if rec.round},
     )

@@ -5,7 +5,7 @@ manifest with the fully resolved configuration, and re-running from that
 manifest reproduces the checkpoint and metrics byte for byte.
 
 Exit codes: 0 success, 1 runtime failure, 2 usage error: a missing or malformed
-flag, or any out-of-range flag or manifest value (a `ConfigurationError`).
+flag or manifest, or any out-of-range flag or manifest value (a `ConfigurationError`).
 """
 
 from __future__ import annotations
@@ -41,17 +41,6 @@ from .pipeline import (
     train,
 )
 
-_METRIC_FIELDS = (
-    "round",
-    "epoch",
-    "mean_loss",
-    "selected_fraction",
-    "consistent_count",
-    "inconsistent_count",
-    "knn_accuracy",
-)
-
-
 class _UsageError(Exception):
     pass
 
@@ -83,15 +72,15 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def _make_monitor(dataset: Dataset, tau: float):
-    """Round-boundary diagnostics for labelled data; training never sees labels."""
+def _make_monitor(dataset: Dataset):
+    """The one round monitor (train and the blob benchmark); labels never reach training."""
     labels = dataset.labels
     k_eval = min(DEFAULT_K_EVAL, dataset.n - 1)
 
     def monitor(r, plan, bank, params):
         consistent, inconsistent = neighbourhood_consistency(plan.members[plan.selected], labels)
         feats, _ = forward(params, dataset.inputs)
-        preds = knn_predict_batch(feats, bank, labels, k_eval, tau, leave_one_out=True)
+        preds = knn_predict_batch(feats, bank, labels, k_eval, DEFAULT_EVAL_TAU, leave_one_out=True)
         return {
             "consistent_count": consistent,
             "inconsistent_count": inconsistent,
@@ -103,10 +92,14 @@ def _make_monitor(dataset: Dataset, tau: float):
 
 def cmd_train(args) -> int:
     if args.manifest:
-        manifest = json.loads(Path(args.manifest).read_text())
-        config = TrainConfig(**manifest["config"])
-        data_path = manifest["data"]
-        out_dir = Path(args.out) if args.out else Path(manifest["out"])
+        try:
+            manifest = json.loads(Path(args.manifest).read_text())
+            config = TrainConfig(**manifest["config"])
+            config.validate()
+            data_path = Path(manifest["data"])  # a TypeError unless it is a path string
+            out_dir = Path(args.out) if args.out else Path(manifest["out"])
+        except (ValueError, KeyError, TypeError) as err:
+            raise _UsageError(f"{args.manifest}: malformed manifest: {err!r}") from None
         dataset = load_dataset(data_path)
     else:
         if not args.data or not args.out:
@@ -132,15 +125,14 @@ def cmd_train(args) -> int:
             instance_only=args.instance_only,
         )
 
-    monitor = _make_monitor(dataset, DEFAULT_EVAL_TAU) if dataset.labels is not None else None
+    monitor = _make_monitor(dataset) if dataset.labels is not None else None
     params, bank, records = train(dataset.inputs, config, monitor=monitor)
 
     out_dir.mkdir(parents=True, exist_ok=True)
     save_checkpoint(params, bank, config, out_dir / "checkpoint.andc")
     with open(out_dir / "metrics.jsonl", "w", encoding="utf-8") as fh:
         for rec in records:
-            row = {name: getattr(rec, name) for name in _METRIC_FIELDS}
-            fh.write(json.dumps(row) + "\n")
+            fh.write(json.dumps(dataclasses.asdict(rec)) + "\n")
     manifest = {
         "artifact_version": __version__,
         "command": "train",
@@ -194,7 +186,7 @@ def cmd_eval(args) -> int:
         inconsistent_count=inconsistent,
         per_class_accuracy=per_class_accuracy(preds, split.labels),
     )
-    text = json.dumps(report.to_dict(), indent=2, sort_keys=True)
+    text = json.dumps(dataclasses.asdict(report), indent=2, sort_keys=True)
     if args.out:
         Path(args.out).write_text(text + "\n")
     else:

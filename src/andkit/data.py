@@ -16,11 +16,13 @@ Binary dataset format (extension ``.ands``, all integers little-endian):
     labels  n little-endian int32 (only when the flag is set)
 
 CSV format: header ``label,f0,...,f{D-1}``; the label column is either all
-non-negative integers or all -1, the latter meaning "no labels".
+non-negative int32 integers or all -1, the latter meaning "no labels".
+Both loaders reject NaN and infinite inputs.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -32,6 +34,7 @@ from .numerics import SeededRng, l2_normalize
 _MAGIC = b"ANDS"
 _VERSION = 1
 _HEADER = struct.Struct("<4sHBBII")
+_INT32 = np.iinfo(np.int32)  # class ids are stored as int32
 
 
 @dataclass(frozen=True)
@@ -40,7 +43,6 @@ class Dataset:
 
     inputs: np.ndarray  # (n, d) float64
     labels: np.ndarray | None = None  # (n,) int32 class ids
-    name: str = ""
 
     def __post_init__(self):
         inputs = np.asarray(self.inputs, dtype=np.float64)
@@ -110,8 +112,7 @@ def generate_blobs(spec: BlobSpec) -> Dataset:
             inputs[row] = centers[c] + spec.noise_sigma * rng.normals(spec.dim)
             labels[row] = c
             row += 1
-    name = f"blobs-c{spec.num_classes}-p{spec.per_class}-d{spec.dim}-s{spec.seed}"
-    return Dataset(inputs=inputs, labels=labels, name=name)
+    return Dataset(inputs=inputs, labels=labels)
 
 
 def save_csv(dataset: Dataset, path) -> None:
@@ -147,10 +148,14 @@ def load_csv(path) -> Dataset:
             labels.append(int(cells[0]))
         except ValueError:
             raise ParseError(f"{path}: line {lineno}: non-integer label {cells[0]!r}") from None
+        if not _INT32.min <= labels[-1] <= _INT32.max:
+            raise ParseError(f"{path}: line {lineno}: label {labels[-1]} outside the int32 range")
         try:
             rows.append([float(c) for c in cells[1:]])
         except ValueError:
             raise ParseError(f"{path}: line {lineno}: non-numeric feature cell") from None
+        if not all(map(math.isfinite, rows[-1])):
+            raise ParseError(f"{path}: line {lineno}: non-finite feature cell")
     if len(rows) < 2:
         raise ParseError(f"{path}: need at least 2 data rows, got {len(rows)}")
     label_arr = np.asarray(labels, dtype=np.int32)
@@ -160,7 +165,6 @@ def load_csv(path) -> Dataset:
     return Dataset(
         inputs=np.asarray(rows, dtype=np.float64),
         labels=None if absent.all() else label_arr,
-        name=str(path),
     )
 
 
@@ -192,12 +196,14 @@ def load_bin(path) -> Dataset:
         raise FormatError(f"{path}: payload is {len(blob)} bytes, expected {expected}")
     off = _HEADER.size
     inputs = np.frombuffer(blob, dtype="<f4", count=n * d, offset=off).reshape(n, d)
+    if not np.isfinite(inputs).all():
+        raise FormatError(f"{path}: non-finite input value")
     labels = None
     if has_labels:
         labels = np.frombuffer(blob, dtype="<i4", count=n, offset=off + 4 * n * d)
         if (labels < 0).any():
             raise FormatError(f"{path}: negative class id {int(labels.min())}")
-    return Dataset(inputs=inputs.astype(np.float64), labels=labels, name=str(path))
+    return Dataset(inputs=inputs.astype(np.float64), labels=labels)
 
 
 def load_dataset(path) -> Dataset:

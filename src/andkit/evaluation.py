@@ -15,7 +15,7 @@ bank row so self-similarity cannot inflate accuracy.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,9 +37,6 @@ class EvalReport:
     consistent_count: int
     inconsistent_count: int
     per_class_accuracy: list[float]
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def _check_labels(labels) -> np.ndarray:
@@ -85,8 +82,11 @@ def knn_predict_batch(
     """Vectorised `weighted_knn_predict` over a feature matrix.
 
     With `leave_one_out`, query row i must correspond to bank row i and is
-    excluded from its own candidate set.
+    excluded from its own candidate set. Weights are shifted by each row's
+    best score, exp((s - s_max) / tau), so a small tau cannot overflow them.
     """
+    if not (math.isfinite(tau) and tau > 0):
+        raise ConfigurationError(f"tau must be a finite number > 0, got {tau}")
     labels = _check_labels(labels)
     feats = np.asarray(features, dtype=np.float64)
     sims = feats @ bank.features.T
@@ -98,7 +98,8 @@ def knn_predict_batch(
     if not 1 <= k_eval <= available:
         raise ConfigurationError(f"k_eval must lie in [1, {available}], got {k_eval}")
     top = top_k(sims, k_eval)
-    weights = np.exp(np.take_along_axis(sims, top, axis=1) / tau)
+    top_sims = np.take_along_axis(sims, top, axis=1)
+    weights = np.exp((top_sims - top_sims[:, :1]) / tau)  # top_k puts the best score first
     num_classes = int(labels.max()) + 1
     scores = np.zeros((feats.shape[0], num_classes))
     rows = np.repeat(np.arange(feats.shape[0]), k_eval)
@@ -112,13 +113,12 @@ def knn_accuracy(
     bank: FeatureBank,
     labels,
     k_eval: int = DEFAULT_K_EVAL,
-    tau: float = DEFAULT_EVAL_TAU,
     leave_one_out: bool = False,
 ) -> float:
     """Fraction of split samples whose weighted kNN vote matches ground truth."""
     truth = _check_labels(split.labels)
     feats, _ = forward(params, split.inputs)
-    preds = knn_predict_batch(feats, bank, labels, k_eval, tau, leave_one_out)
+    preds = knn_predict_batch(feats, bank, labels, k_eval, DEFAULT_EVAL_TAU, leave_one_out)
     return float((preds == truth).mean())
 
 

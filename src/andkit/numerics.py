@@ -2,7 +2,7 @@
 
 Package code normalises (`l2_normalize`, `l2_normalize_rows`), takes softmaxes
 (`stable_softmax`) and draws random numbers (`SeededRng`) only through this
-module; `dot` is kept for library callers. All are float64 in, float64 out.
+module. All are float64 in, float64 out.
 Vectors are plain 1-D ``numpy.ndarray`` values and matrices are row-major
 2-D arrays; no wrapper classes.
 
@@ -120,15 +120,6 @@ class SeededRng:
             j = self.randbelow(i + 1)
             perm[i], perm[j] = perm[j], perm[i]
         return perm
-
-
-def dot(a, b) -> float:
-    """Inner product of two equal-length vectors."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.ndim != 1 or b.ndim != 1 or a.shape != b.shape:
-        raise DimensionError(f"dot needs equal-length vectors, got {a.shape} and {b.shape}")
-    return float(np.dot(a, b))
 
 
 def l2_normalize(v) -> np.ndarray:

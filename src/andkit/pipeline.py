@@ -33,8 +33,9 @@ Checkpoint format (extension ``.andc``, all integers little-endian):
 from __future__ import annotations
 
 import math
+import numbers
 import struct
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from typing import Callable
 
 import numpy as np
@@ -80,6 +81,15 @@ _CONFIG_FIELDS = (
     "eta",
 )
 
+# accepted value types per TrainConfig annotation; bool only where the annotation says bool
+_KINDS = {
+    "int": numbers.Integral,
+    "int | None": (numbers.Integral, type(None)),
+    "float": numbers.Real,
+    "bool": bool,
+    "tuple[int, ...]": tuple,
+}
+
 MonitorFn = Callable[[int, "RoundPlan", FeatureBank, EncoderParams], dict]
 
 
@@ -107,7 +117,12 @@ class TrainConfig:
         object.__setattr__(self, "layer_sizes", tuple(int(s) for s in self.layer_sizes))
 
     def validate(self, n: int | None = None) -> None:
-        """Raise ConfigurationError for an out-of-range field or, given `n`, sample count."""
+        """Raise ConfigurationError on a mistyped or out-of-range field, or a bad `n` if given."""
+        for f in fields(self):
+            value = getattr(self, f.name)
+            kind_ok = isinstance(value, _KINDS[f.type])
+            if not kind_ok or isinstance(value, bool) != (f.type == "bool"):
+                raise ConfigurationError(f"{f.name} must be {f.type}, got {value!r}")
         if self.rounds < 1:
             raise ConfigurationError(f"rounds must be >= 1, got {self.rounds}")
         if self.epochs_per_round < 0 or (self.init_epochs is not None and self.init_epochs < 0):
@@ -313,8 +328,8 @@ def save_checkpoint(
         fh.write(np.ascontiguousarray(bank.features, dtype="<f8").tobytes())
 
 
-def load_checkpoint(path, expect_layer_sizes: tuple[int, ...] | None = None) -> Checkpoint:
-    """Read a checkpoint back; `expect_layer_sizes` guards resume shape safety."""
+def load_checkpoint(path) -> Checkpoint:
+    """Read a checkpoint back; a malformed file or out-of-range config is a FormatError."""
     with open(path, "rb") as fh:
         blob = fh.read()
     view = memoryview(blob)
@@ -338,10 +353,6 @@ def load_checkpoint(path, expect_layer_sizes: tuple[int, ...] | None = None) -> 
     if num_sizes < 2:
         raise FormatError(f"{path}: invalid layer count {num_sizes}")
     sizes = struct.unpack(f"<{num_sizes}I", take(4 * num_sizes))
-    if expect_layer_sizes is not None and tuple(expect_layer_sizes) != tuple(sizes):
-        raise FormatError(
-            f"{path}: checkpoint layers {sizes} do not match expected {tuple(expect_layer_sizes)}"
-        )
     weights, biases = [], []
     for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
         weights.append(

@@ -57,7 +57,7 @@ class TestGenerate:
             run("generate", "--classes", 4, "--per-class", 10, "--dim", 8)
         assert exc.value.code == 2
 
-    def test_bad_flag_values_are_usage_errors(self, tmp_path, blob_file, run_dir):
+    def test_bad_flag_values_are_usage_errors(self, tmp_path, blob_file, run_dir, capsys):
         code = run(
             "generate", "--classes", 1, "--per-class", 10, "--dim", 8,
             "--out", tmp_path / "x.ands",
@@ -87,6 +87,24 @@ class TestGenerate:
         code = run("train", "--manifest", tmp_path / "manifest.json", "--out", tmp_path / "r")
         assert code == 2
         assert not (tmp_path / "r").exists()
+        good = json.loads((run_dir / "manifest.json").read_text())
+        malformed = {
+            "unknown-key.json": {**good, "config": {**good["config"], "round": 4}},
+            "no-config.json": {k: v for k, v in good.items() if k != "config"},
+            "null-layers.json": {**good, "config": {**good["config"], "layer_sizes": None}},
+            "string-rounds.json": {**good, "config": {**good["config"], "rounds": "4"}},
+            "string-seed.json": {**good, "config": {**good["config"], "seed": "1"}},
+            "numeric-data.json": {**good, "data": 0},
+        }
+        for name, blob in malformed.items():
+            (tmp_path / name).write_text(json.dumps(blob))
+        (tmp_path / "truncated.json").write_text(json.dumps(good)[:40])
+        capsys.readouterr()
+        for name in (*malformed, "truncated.json"):
+            code = run("train", "--manifest", tmp_path / name, "--out", tmp_path / "r")
+            assert code == 2, name
+            assert not (tmp_path / "r").exists()
+            assert name in capsys.readouterr().err
         for args in (("--knn-k", 100), ("--probe", "--probe-lr", "nan"),
                      ("--probe", "--probe-epochs", -1)):
             code = run(

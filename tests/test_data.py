@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -77,6 +79,19 @@ class TestCsvRoundTrip:
         with pytest.raises(ParseError, match="all present or all -1"):
             load_csv(path)
 
+    def test_label_beyond_int32_rejected(self, tmp_path):
+        path = tmp_path / "huge.csv"
+        path.write_text("label,f0,f1\n0,1.0,2.0\n99999999999,3.0,4.0\n")
+        with pytest.raises(ParseError, match="line 3"):
+            load_csv(path)
+
+    def test_non_finite_cell_rejected(self, tmp_path):
+        for cell in ("nan", "inf", "-inf"):
+            path = tmp_path / "nonfinite.csv"
+            path.write_text(f"label,f0,f1\n0,1.0,2.0\n1,3.0,{cell}\n")
+            with pytest.raises(ParseError, match="line 3"):
+                load_csv(path)
+
     def test_ragged_row_names_line(self, tmp_path):
         path = tmp_path / "ragged.csv"
         path.write_text("label,f0,f1\n0,1.0,2.0\n1,3.0\n")
@@ -135,6 +150,16 @@ class TestBinRoundTrip:
         blob[-4:] = (-3).to_bytes(4, "little", signed=True)  # last sample's label
         path.write_bytes(bytes(blob))
         with pytest.raises(FormatError, match="negative class id"):
+            load_bin(path)
+
+    def test_non_finite_input_rejected(self, tmp_path):
+        ds = generate_blobs(BlobSpec(2, 3, 4, seed=2))
+        path = tmp_path / "nan.ands"
+        save_bin(ds, path)
+        blob = bytearray(path.read_bytes())
+        struct.pack_into("<f", blob, 16 + 4 * 5, float("nan"))  # sample 1, feature 1
+        path.write_bytes(bytes(blob))
+        with pytest.raises(FormatError, match="non-finite"):
             load_bin(path)
 
     def test_truncated_payload_rejected(self, tmp_path):

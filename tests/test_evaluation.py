@@ -5,7 +5,7 @@ import pytest
 
 from andkit.data import BlobSpec, Dataset, generate_blobs
 from andkit.encoder import EncoderConfig, init_params
-from andkit.errors import ContractError
+from andkit.errors import ConfigurationError, ContractError
 from andkit.evaluation import (
     consistent_rows,
     knn_accuracy,
@@ -67,6 +67,19 @@ class TestWeightedKnnPredict:
         batch = knn_predict_batch(queries, bank, labels, k_eval=4, tau=0.07)
         for q, pred in zip(queries, batch):
             assert pred == weighted_knn_predict(q, bank, labels, k_eval=4, tau=0.07)
+
+    def test_batch_vote_survives_overflowing_weights(self):
+        # unshifted, e^(1/0.001) and e^(0.99/0.001) are both inf, which ties the
+        # classes and hands the vote to the lower id; shifted, class 1 wins 1 to e^-10
+        bank, query = bank_with_similarities([1.0, 0.99])
+        pred = knn_predict_batch(query[None, :], bank, [1, 0], k_eval=2, tau=0.001)
+        assert pred.tolist() == [1]
+
+    def test_batch_tau_must_be_finite_and_positive(self):
+        bank, query = bank_with_similarities([0.9, 0.8])
+        for tau in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ConfigurationError):
+                knn_predict_batch(query[None, :], bank, [0, 1], k_eval=1, tau=tau)
 
 
 class TestKnnAccuracy:

@@ -10,7 +10,6 @@ from andkit.errors import DegenerateInputError, DimensionError
 from andkit.numerics import (
     SeededRng,
     derive_seed,
-    dot,
     l2_normalize,
     l2_normalize_rows,
     stable_softmax,
@@ -21,22 +20,6 @@ finite_vectors = lambda max_len: hnp.arrays(
     st.integers(min_value=1, max_value=max_len),
     elements=st.floats(min_value=-50.0, max_value=50.0),
 )
-
-
-class TestDot:
-    def test_orthogonal(self):
-        assert dot([1.0, 0.0], [0.0, 1.0]) == 0.0
-
-    def test_unit_self(self):
-        assert dot([1.0, 0.0], [1.0, 0.0]) == 1.0
-
-    def test_hand_value(self):
-        # 0.6*0.8 + 0.8*0.6 = 0.96
-        assert dot([0.6, 0.8], [0.8, 0.6]) == pytest.approx(0.96, abs=1e-15)
-
-    def test_length_mismatch(self):
-        with pytest.raises(DimensionError):
-            dot([1.0, 2.0], [1.0, 2.0, 3.0])
 
 
 class TestL2Normalize:

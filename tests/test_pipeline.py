@@ -213,8 +213,13 @@ class TestTrain:
             train(x, cfg)
 
     def test_invalid_config_rejected(self):
-        with pytest.raises(ConfigurationError):
-            train(small_inputs(), small_config(rounds=0))
+        # wrong-typed values, as a hand-edited manifest can carry, are rejected like bad ranges
+        for override in (
+            {"rounds": 0}, {"rounds": "4"}, {"seed": "1"}, {"k": True}, {"init_epochs": 2.5},
+            {"base_lr": "0.1"}, {"one_off": 1},
+        ):
+            with pytest.raises(ConfigurationError):
+                train(small_inputs(), small_config(**override))
 
     def test_k_beyond_n_rejected_before_warmup(self, monkeypatch):
         import andkit.pipeline as pipeline
@@ -281,9 +286,3 @@ class TestCheckpoint:
         struct.pack_into("<I", blob, 6 + 4 * 5, 1)  # an earlier round is in range
         path.write_bytes(bytes(blob))
         assert load_checkpoint(path).final_round == 1
-
-    def test_layer_shape_guard_on_resume(self, tmp_path):
-        _, _, _, path, _ = self.roundtrip(tmp_path)
-        with pytest.raises(FormatError, match="layers"):
-            load_checkpoint(path, expect_layer_sizes=(8, 12, 4))
-        load_checkpoint(path, expect_layer_sizes=(8, 10, 4))
