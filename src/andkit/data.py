@@ -97,8 +97,14 @@ def generate_blobs(spec: BlobSpec) -> Dataset:
             "blob spec needs num_classes >= 2, per_class >= 2, dim >= 2, got "
             f"({spec.num_classes}, {spec.per_class}, {spec.dim})"
         )
-    if not spec.noise_sigma > 0:
-        raise ConfigurationError(f"noise_sigma must be > 0, got {spec.noise_sigma}")
+    if not (math.isfinite(spec.center_scale) and spec.center_scale >= 0):
+        raise ConfigurationError(
+            f"center_scale must be a finite number >= 0, got {spec.center_scale}"
+        )
+    if not (math.isfinite(spec.noise_sigma) and spec.noise_sigma > 0):
+        raise ConfigurationError(
+            f"noise_sigma must be a finite number > 0, got {spec.noise_sigma}"
+        )
     rng = SeededRng(spec.seed)
     centers = np.stack(
         [l2_normalize(rng.normals(spec.dim)) * spec.center_scale for _ in range(spec.num_classes)]

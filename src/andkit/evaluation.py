@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .affinity import top_k
+from .affinity import row_blocks, top_k
 from .data import Dataset
 from .encoder import EncoderParams, forward
 from .errors import ConfigurationError, ContractError
@@ -84,21 +84,26 @@ def knn_predict_batch(
     With `leave_one_out`, query row i must correspond to bank row i and is
     excluded from its own candidate set. Weights are shifted by each row's
     best score, exp((s - s_max) / tau), so a small tau cannot overflow them.
+    Scores are computed in row blocks (`affinity.row_blocks`), so the whole
+    query x bank matrix is never held.
     """
     if not (math.isfinite(tau) and tau > 0):
         raise ConfigurationError(f"tau must be a finite number > 0, got {tau}")
     labels = _check_labels(labels)
+    if labels.size != bank.n:
+        raise ContractError(f"{labels.size} labels for a bank of {bank.n} rows")
     feats = np.asarray(features, dtype=np.float64)
-    sims = feats @ bank.features.T
-    if leave_one_out:
-        if feats.shape[0] != bank.n:
-            raise ContractError("leave-one-out needs one query per bank row")
-        np.fill_diagonal(sims, -np.inf)
+    if leave_one_out and feats.shape[0] != bank.n:
+        raise ContractError("leave-one-out needs one query per bank row")
     available = bank.n - (1 if leave_one_out else 0)
     if not 1 <= k_eval <= available:
         raise ConfigurationError(f"k_eval must lie in [1, {available}], got {k_eval}")
-    top = top_k(sims, k_eval)
-    top_sims = np.take_along_axis(sims, top, axis=1)
+    top = np.empty((feats.shape[0], k_eval), dtype=np.intp)
+    top_sims = np.empty((feats.shape[0], k_eval))
+    for start, sims in row_blocks(feats, bank.features, exclude_self=leave_one_out):
+        block_top = top_k(sims, k_eval)
+        top[start:start + sims.shape[0]] = block_top
+        top_sims[start:start + sims.shape[0]] = np.take_along_axis(sims, block_top, axis=1)
     weights = np.exp((top_sims - top_sims[:, :1]) / tau)  # top_k puts the best score first
     num_classes = int(labels.max()) + 1
     scores = np.zeros((feats.shape[0], num_classes))

@@ -40,7 +40,7 @@ from typing import Callable
 
 import numpy as np
 
-from .affinity import build_neighbourhoods, entropy_rows
+from .affinity import build_neighbourhoods, entropy_rows, row_blocks
 from .data import make_batches
 from .encoder import (
     EncoderConfig,
@@ -203,8 +203,10 @@ def select_anchors(entropies, r: int, R: int) -> np.ndarray:
 
 def bank_entropies(bank: FeatureBank, tau: float) -> np.ndarray:
     """Consistency entropy of every memory row queried against the whole bank."""
-    probs = stable_softmax(bank.features @ bank.features.T / tau)
-    return entropy_rows(probs)
+    out = np.empty(bank.n)
+    for start, sims in row_blocks(bank.features, bank.features):
+        out[start:start + sims.shape[0]] = entropy_rows(stable_softmax(sims / tau))
+    return out
 
 
 def plan_round(bank: FeatureBank, config: TrainConfig, r: int) -> RoundPlan:

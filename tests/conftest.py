@@ -34,3 +34,17 @@ def random_unit(d, seed):
 
 def random_bank(n, d, seed, eta=0.5):
     return FeatureBank(features=l2_normalize_rows(SeededRng(seed).normals((n, d))), eta=eta)
+
+
+def dyadic_matrix(n, d, seed):
+    """Rows with entries in {-1, -1/2, 0, 1/2, 1}; row 4j+1 repeats row 4j.
+
+    Inner products of such rows are sums of a few multiples of 1/4, which
+    float64 holds exactly, so a product computed in row blocks equals the
+    full product bit for bit on any BLAS. The repeated rows and the few
+    distinct scores give many ties.
+    """
+    values = np.floor(SeededRng(seed).uniforms((n, d)) * 5) / 2 - 1
+    copies = values[1::4]
+    copies[:] = values[0::4][: len(copies)]
+    return values

@@ -5,12 +5,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from andkit.affinity import build_neighbourhoods, entropy, entropy_rows, prob_row
+from andkit.affinity import (
+    ROW_BLOCK,
+    build_neighbourhoods,
+    entropy,
+    entropy_rows,
+    prob_row,
+    top_k,
+)
 from andkit.errors import ConfigurationError, ContractError
 from andkit.losses import neighbourhood_term
 from andkit.memory import FeatureBank
+from andkit.numerics import SeededRng
 
-from conftest import random_bank, random_unit
+from conftest import dyadic_matrix, random_bank, random_unit
 
 
 def three_row_bank():
@@ -122,6 +130,38 @@ class TestBuildNeighbourhoods:
             neighbourhood_term(0, x, (1, 2), bank, tau=1.0)
         with pytest.raises(ContractError):
             neighbourhood_term(0, x, (0, 0), bank, tau=1.0)
+
+
+class TestTopK:
+    def test_matches_stable_argsort_on_tied_scores(self):
+        rng = SeededRng(12)
+        for rows, m in ((1, 1), (6, 2), (40, 9), (300, 17)):
+            scores = np.floor(rng.uniforms((rows, m)) * 4)  # four values: heavy ties
+            scores[rng.uniforms((rows, m)) < 0.2] = -np.inf
+            scores[0] = -np.inf
+            oracle = np.argsort(-scores, axis=1, kind="stable")
+            for k in sorted({1, max(m - 1, 1), m}):
+                np.testing.assert_array_equal(top_k(scores, k), oracle[:, :k], err_msg=f"k={k}")
+
+    def test_k_out_of_range_rejected(self):
+        for k in (0, 4):
+            with pytest.raises(ConfigurationError):
+                top_k(np.zeros((2, 3)), k)
+
+
+class TestBlockwiseExactness:
+    """Row-blocked search equals the full N x N computation across block edges."""
+
+    def test_neighbourhoods_match_full_matrix(self):
+        n = 2 * ROW_BLOCK + 37
+        bank = FeatureBank(features=dyadic_matrix(n, 8, seed=21))
+        sims = bank.features @ bank.features.T
+        np.fill_diagonal(sims, -np.inf)
+        order = np.argsort(-sims, axis=1, kind="stable")
+        anchors = np.arange(n)[:, None]
+        for k in (1, 10, n - 1):
+            expected = np.concatenate([anchors, order[:, :k]], axis=1)
+            np.testing.assert_array_equal(build_neighbourhoods(bank, k), expected)
 
 
 class TestEntropy:

@@ -63,6 +63,16 @@ class TestGenerate:
             "--out", tmp_path / "x.ands",
         )
         assert code == 2
+        for flag, value in (
+            ("--center-scale", "nan"), ("--center-scale", "inf"), ("--center-scale", -1),
+            ("--noise-sigma", "inf"), ("--noise-sigma", "nan"),
+        ):
+            code = run(
+                "generate", "--classes", 2, "--per-class", 10, "--dim", 8, flag, value,
+                "--out", tmp_path / "x.ands",
+            )
+            assert code == 2, (flag, value)
+            assert not (tmp_path / "x.ands").exists()
         # flags are checked before any file is read
         for tau in (0, -1, "nan", "inf"):
             code = run(

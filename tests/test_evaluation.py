@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from andkit.affinity import ROW_BLOCK
 from andkit.data import BlobSpec, Dataset, generate_blobs
 from andkit.encoder import EncoderConfig, init_params
 from andkit.errors import ConfigurationError, ContractError
@@ -19,7 +20,7 @@ from andkit.evaluation import (
 from andkit.memory import FeatureBank
 from andkit.numerics import SeededRng, l2_normalize_rows
 
-from conftest import finite_difference, max_rel_error, random_bank
+from conftest import dyadic_matrix, finite_difference, max_rel_error, random_bank
 
 
 def bank_with_similarities(sims):
@@ -80,6 +81,39 @@ class TestWeightedKnnPredict:
         for tau in (0.0, -1.0, math.nan, math.inf):
             with pytest.raises(ConfigurationError):
                 knn_predict_batch(query[None, :], bank, [0, 1], k_eval=1, tau=tau)
+
+    def test_batch_label_count_must_match_bank(self):
+        bank = random_bank(4, 3, seed=1)
+        for labels in ([0, 1], [0, 1, 0, 1, 0]):
+            with pytest.raises(ContractError):
+                knn_predict_batch(bank.features, bank, labels, k_eval=1, tau=0.07)
+
+    @staticmethod
+    def full_matrix_vote(queries, features, labels, k_eval, tau, leave_one_out):
+        """Reference: the vote from one whole query x bank score matrix."""
+        sims = queries @ features.T
+        if leave_one_out:
+            np.fill_diagonal(sims, -np.inf)
+        top = np.argsort(-sims, axis=1, kind="stable")[:, :k_eval]
+        top_sims = np.take_along_axis(sims, top, axis=1)
+        weights = np.exp((top_sims - top_sims[:, :1]) / tau)
+        scores = np.zeros((queries.shape[0], labels.max() + 1))
+        rows = np.repeat(np.arange(queries.shape[0]), k_eval)
+        np.add.at(scores, (rows, labels[top].ravel()), weights.ravel())
+        return np.argmax(scores, axis=1)
+
+    def test_batch_matches_full_matrix_across_blocks(self):
+        n = 2 * ROW_BLOCK + 37
+        bank = FeatureBank(features=dyadic_matrix(n, 8, seed=23))
+        labels = np.floor(SeededRng(24).uniforms(n) * 4).astype(np.int64)
+        queries = dyadic_matrix(ROW_BLOCK + 11, 8, seed=25)
+        for feats, leave_one_out in ((bank.features, True), (queries, False)):
+            for k_eval in (1, 10):
+                expected = self.full_matrix_vote(
+                    feats, bank.features, labels, k_eval, 0.07, leave_one_out
+                )
+                got = knn_predict_batch(feats, bank, labels, k_eval, 0.07, leave_one_out)
+                np.testing.assert_array_equal(got, expected)
 
 
 class TestKnnAccuracy:

@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from andkit.affinity import ROW_BLOCK, entropy_rows
 from andkit.data import BlobSpec, generate_blobs
 from andkit.errors import ConfigurationError, ContractError, FormatError
 from andkit.memory import FeatureBank
@@ -16,9 +19,9 @@ from andkit.pipeline import (
     select_anchors,
     train,
 )
-from andkit.numerics import SeededRng
+from andkit.numerics import SeededRng, stable_softmax
 
-from conftest import random_bank
+from conftest import dyadic_matrix, random_bank
 
 
 def small_config(**overrides):
@@ -119,6 +122,24 @@ class TestPlanRound:
         for i in range(7):
             expected = entropy(prob_row(bank.features[i], bank, 0.07))
             assert got[i] == pytest.approx(expected, abs=1e-12)
+
+
+    def test_entropies_match_full_matrix_across_blocks(self):
+        bank = FeatureBank(features=dyadic_matrix(2 * ROW_BLOCK + 37, 8, seed=22))
+        expected = entropy_rows(stable_softmax(bank.features @ bank.features.T / 0.07))
+        np.testing.assert_array_equal(bank_entropies(bank, tau=0.07), expected)
+
+    def test_plan_peak_memory_is_below_half_an_n_squared_matrix(self):
+        n = 4000
+        bank = random_bank(n, 16, seed=9)
+        cfg = small_config(layer_sizes=(4, 16), rounds=4, k=10)
+        tracemalloc.start()
+        try:
+            plan_round(bank, cfg, 2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * 8 * n * n, f"peak {peak / (8 * n * n):.2f} x 8N^2 bytes"
 
 
 class TestTrain:
