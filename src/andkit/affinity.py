@@ -64,8 +64,6 @@ def top_k(scores: np.ndarray, k: int) -> np.ndarray:
     rows, m = scores.shape
     if not 1 <= k <= m:
         raise ConfigurationError(f"k must lie in [1, {m}], got {k}")
-    if k == m:
-        return np.argsort(-scores, axis=1, kind="stable")
     kth = np.partition(scores, m - k, axis=1)[:, m - k, None]
     above = scores >= kth
     counts = above.sum(axis=1)
