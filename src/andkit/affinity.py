@@ -106,5 +106,7 @@ def entropy(probs: np.ndarray) -> float:
 def entropy_rows(prob_matrix: np.ndarray) -> np.ndarray:
     """Row-wise entropies of a stack of probability rows."""
     p = np.asarray(prob_matrix, dtype=np.float64)
-    logp = np.where(p > 0.0, np.log(np.where(p > 0.0, p, 1.0)), 0.0)
-    return -(p * logp).sum(axis=1)
+    plogp = np.where(p > 0.0, p, 1.0)  # log(1) is exactly 0, so p = 0 adds 0
+    np.log(plogp, out=plogp)
+    plogp *= p
+    return -plogp.sum(axis=1)

@@ -20,6 +20,13 @@ members (0 otherwise),
 
 which the tests validate against central finite differences.
 
+The batch loss builds no dense target: t is zero outside the members, so
+p - t differs from p only at the member columns. It scatters p_j - p_j / q
+into those columns of p and multiplies by M. q is the sum of a dense row
+that holds p_j at the members and 0 elsewhere, not a sum over the member
+columns alone: numpy sums a full row pairwise, and that order fixes the
+last bits of q and of every checkpoint trained through it.
+
 Member sets are rows of an int array, anchor first (see `affinity`). The
 batch loss counts a repeated index once; the per-sample reference terms
 reject repeats.
@@ -77,19 +84,29 @@ def round_batch_loss(feats, members, bank: FeatureBank, tau: float) -> tuple[flo
     Row b of the returned gradient matrix is d(mean loss)/d(feats[b]),
     ready to feed straight into the encoder backward pass.
 
-    The whole batch is evaluated in one vectorised pass; the per-sample
-    term functions above serve as its reference oracle in the tests.
+    The whole batch is evaluated in one vectorised pass that holds two
+    (b, N) arrays, the scores and the softmax. The scores are reused as
+    the dense member-mass row, and q is that row's full sum, because a sum
+    over the member columns alone would round differently. The gradient
+    is scattered into the softmax at the member columns only (see the
+    module notes). The per-sample term functions above serve as its
+    reference oracle in the tests.
     """
     feats = np.asarray(feats, dtype=np.float64)
     members = np.asarray(members, dtype=np.int64)
     b = feats.shape[0]
     if members.ndim != 2 or members.shape[0] != b:
         raise ContractError(f"member array shape {members.shape} does not fit {b} features")
-    p = stable_softmax(feats @ bank.features.T / tau)
-    target = np.zeros_like(p)
-    np.put_along_axis(target, members, np.take_along_axis(p, members, axis=1), axis=1)
-    q = target.sum(axis=1)
+    z = feats @ bank.features.T
+    z /= tau
+    p = stable_softmax(z)
+    pm = np.take_along_axis(p, members, axis=1)
+    # z becomes the dense member-mass row; q is its full-row sum (module notes)
+    z.fill(0.0)
+    np.put_along_axis(z, members, pm, axis=1)
+    q = z.sum(axis=1)
     losses = -np.log(q)
-    target /= q[:, None]
-    grads = (p - target) @ bank.features / (tau * b)
+    # p - t is p outside the members; a repeated index writes the same value
+    np.put_along_axis(p, members, pm - pm / q[:, None], axis=1)
+    grads = p @ bank.features / (tau * b)
     return float(losses.mean()), grads

@@ -155,11 +155,14 @@ def stable_softmax(logits) -> np.ndarray:
 
     Accepts a vector or a matrix; matrix rows are independent
     distributions. Output entries are non-negative and each distribution
-    sums to 1 up to float64 rounding.
+    sums to 1 up to float64 rounding. The shifted logits are exponentiated
+    and normalised in place, so the one output array is the only
+    full-size allocation; the input array is left untouched.
     """
     z = np.asarray(logits, dtype=np.float64)
     if z.size == 0:
         raise DimensionError("softmax of an empty vector")
-    shifted = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    e = z - z.max(axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e

@@ -205,7 +205,8 @@ def bank_entropies(bank: FeatureBank, tau: float) -> np.ndarray:
     """Consistency entropy of every memory row queried against the whole bank."""
     out = np.empty(bank.n)
     for start, sims in row_blocks(bank.features, bank.features):
-        out[start:start + sims.shape[0]] = entropy_rows(stable_softmax(sims / tau))
+        sims /= tau
+        out[start:start + sims.shape[0]] = entropy_rows(stable_softmax(sims))
     return out
 
 
@@ -331,7 +332,7 @@ def save_checkpoint(
 
 
 def load_checkpoint(path) -> Checkpoint:
-    """Read a checkpoint back; a malformed file or out-of-range config is a FormatError."""
+    """Read a checkpoint back; a malformed file, bad config or NaN/inf value is a FormatError."""
     with open(path, "rb") as fh:
         blob = fh.read()
     view = memoryview(blob)
@@ -367,6 +368,8 @@ def load_checkpoint(path) -> Checkpoint:
     features = np.frombuffer(take(8 * bank_n * bank_d), dtype="<f8").reshape(bank_n, bank_d).copy()
     if off != len(blob):
         raise FormatError(f"{path}: {len(blob) - off} trailing bytes")
+    if not all(np.isfinite(a).all() for a in (*weights, *biases, features)):
+        raise FormatError(f"{path}: non-finite weight, bias or bank value")
     final_round = fields.pop("final_round")
     if fields["init_epochs"] == _INIT_UNSET:
         fields["init_epochs"] = None

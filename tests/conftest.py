@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 
 from andkit.memory import FeatureBank
@@ -48,3 +50,41 @@ def dyadic_matrix(n, d, seed):
     copies = values[1::4]
     copies[:] = values[0::4][: len(copies)]
     return values
+
+
+# Dense reference kernels: the plain forms that `numerics.stable_softmax`,
+# `affinity.entropy_rows` and `losses.round_batch_loss` had before their
+# temporaries were cut. The production kernels must match them bit for bit.
+
+
+def dense_softmax(logits):
+    z = np.asarray(logits, dtype=np.float64)
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def dense_entropy_rows(prob_matrix):
+    p = np.asarray(prob_matrix, dtype=np.float64)
+    logp = np.where(p > 0.0, np.log(np.where(p > 0.0, p, 1.0)), 0.0)
+    return -(p * logp).sum(axis=1)
+
+
+def dense_batch_loss(feats, members, bank, tau):
+    """Mean batch loss and gradients through a dense (b, N) target matrix."""
+    p = dense_softmax(feats @ bank.features.T / tau)
+    target = np.zeros_like(p)
+    np.put_along_axis(target, members, np.take_along_axis(p, members, axis=1), axis=1)
+    q = target.sum(axis=1)
+    target /= q[:, None]
+    grads = (p - target) @ bank.features / (tau * feats.shape[0])
+    return float((-np.log(q)).mean()), grads
+
+
+def traced_peak(fn, *args):
+    """Peak bytes that tracemalloc sees allocated while fn(*args) runs."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

@@ -226,6 +226,24 @@ class TestEval:
         ) == 1
         assert "labelled" in capsys.readouterr().err
 
+    def test_non_finite_checkpoint_values_rejected(self, run_dir, blob_file, tmp_path, capsys):
+        from andkit.pipeline import load_checkpoint
+
+        good = (run_dir / "checkpoint.andc").read_bytes()
+        ckpt = load_checkpoint(run_dir / "checkpoint.andc")
+        # the file ends with the parameters, then u32 n, u32 d and the bank rows
+        params = sum(w.size + b.size for w, b in zip(ckpt.params.weights, ckpt.params.biases))
+        first_weight = len(good) - 8 * (ckpt.bank.features.size + params) - 8
+        bad = tmp_path / "bad.andc"
+        for offset, value in ((len(good) - 8, math.nan), (first_weight, math.inf)):
+            blob = bytearray(good)
+            blob[offset:offset + 8] = np.float64(value).tobytes()
+            bad.write_bytes(bytes(blob))
+            assert run("eval", "--checkpoint", bad, "--data", blob_file) == 1
+            assert "non-finite" in capsys.readouterr().err
+            assert run("inspect", "--checkpoint", bad, "--out", tmp_path / "bad.csv") == 1
+            assert not (tmp_path / "bad.csv").exists()
+
 
 class TestCurve:
     def test_one_row_per_round(self, run_dir, capsys):

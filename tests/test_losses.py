@@ -9,9 +9,17 @@ from andkit.affinity import build_neighbourhoods
 from andkit.errors import ContractError
 from andkit.losses import instance_term, neighbourhood_term, round_batch_loss
 from andkit.memory import FeatureBank
+from andkit.numerics import SeededRng
 from andkit.pipeline import RoundPlan
 
-from conftest import finite_difference, max_rel_error, random_bank, random_unit
+from conftest import (
+    dense_batch_loss,
+    finite_difference,
+    max_rel_error,
+    random_bank,
+    random_unit,
+    traced_peak,
+)
 
 
 def three_row_bank():
@@ -161,3 +169,30 @@ class TestRoundBatchLoss:
         plan = make_plan([], np.arange(2)[:, None])  # plan only covers samples 0..1
         with pytest.raises(ContractError):
             plan.batch_members([3])
+
+
+class TestRoundBatchLossLean:
+    """The scatter-only batch loss against the dense-target oracle, and its memory."""
+
+    @pytest.mark.parametrize("tau", [0.07, 1.0])
+    @pytest.mark.parametrize("b", [1, 7, 128])
+    @pytest.mark.parametrize("k", [0, 5])
+    def test_matches_dense_target_bit_for_bit(self, b, k, tau):
+        bank = random_bank(300, 8, seed=30 + b)
+        plan = make_plan(range(0, 300, 2), build_neighbourhoods(bank, k=k))
+        batch = SeededRng(b).permutation(300)[:b]
+        members = plan.batch_members(batch)  # odd anchors collapse to their anchor
+        members[::3, -1] = members[::3, 0]  # and some selected rows repeat an index
+        feats = random_bank(b, 8, seed=40 + b).features
+        loss, grads = round_batch_loss(feats, members, bank, tau)
+        oracle_loss, oracle_grads = dense_batch_loss(feats, members, bank, tau)
+        assert loss == oracle_loss
+        np.testing.assert_array_equal(grads, oracle_grads)
+
+    def test_peak_memory_is_two_score_matrices(self):
+        n, b = 4000, 128
+        bank = random_bank(n, 16, seed=31)
+        feats = bank.features[:b].copy()
+        members = np.arange(b * 11).reshape(b, 11)
+        peak = traced_peak(round_batch_loss, feats, members, bank, 0.07)
+        assert peak < 2.5 * 8 * b * n, f"peak {peak / (8 * b * n):.2f} x 8bN bytes"

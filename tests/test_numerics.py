@@ -15,6 +15,8 @@ from andkit.numerics import (
     stable_softmax,
 )
 
+from conftest import dense_softmax
+
 finite_vectors = lambda max_len: hnp.arrays(
     np.float64,
     st.integers(min_value=1, max_value=max_len),
@@ -88,6 +90,18 @@ class TestStableSoftmax:
         out = stable_softmax(m)
         np.testing.assert_allclose(out[0], stable_softmax(m[0]), atol=1e-15)
         np.testing.assert_allclose(out[1], stable_softmax(m[1]), atol=1e-15)
+
+    def test_matches_dense_form_and_leaves_input_untouched(self):
+        for logits in (
+            SeededRng(5).normals((7, 300)) * 30.0,
+            SeededRng(6).normals(41),
+            np.array([[-1000.0, 0.0, 1000.0], [3.0, 3.0, 3.0]]),
+        ):
+            before = logits.copy()
+            out = stable_softmax(logits)
+            np.testing.assert_array_equal(logits, before)
+            assert not np.shares_memory(out, logits)
+            np.testing.assert_array_equal(out, dense_softmax(logits))
 
 
 class TestSeededRng:

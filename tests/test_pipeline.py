@@ -21,7 +21,7 @@ from andkit.pipeline import (
 )
 from andkit.numerics import SeededRng, stable_softmax
 
-from conftest import dyadic_matrix, random_bank
+from conftest import dense_entropy_rows, dense_softmax, dyadic_matrix, random_bank, traced_peak
 
 
 def small_config(**overrides):
@@ -128,6 +128,20 @@ class TestPlanRound:
         bank = FeatureBank(features=dyadic_matrix(2 * ROW_BLOCK + 37, 8, seed=22))
         expected = entropy_rows(stable_softmax(bank.features @ bank.features.T / 0.07))
         np.testing.assert_array_equal(bank_entropies(bank, tau=0.07), expected)
+
+    def test_entropies_match_dense_kernels(self):
+        bank = FeatureBank(features=dyadic_matrix(ROW_BLOCK + 37, 8, seed=26))
+        for tau in (1e-4, 0.07):  # 1e-4 underflows every non-maximal probability to 0
+            sims = bank.features @ bank.features.T / tau
+            expected = dense_entropy_rows(dense_softmax(sims))
+            np.testing.assert_array_equal(bank_entropies(bank, tau), expected)
+
+    def test_entropy_peak_memory_is_a_few_score_blocks(self):
+        n = 4000
+        bank = random_bank(n, 16, seed=9)
+        peak = traced_peak(bank_entropies, bank, 0.07)
+        block = 8 * ROW_BLOCK * n
+        assert peak < 3.5 * block, f"peak {peak / block:.2f} x 8 ROW_BLOCK N bytes"
 
     def test_plan_peak_memory_is_below_half_an_n_squared_matrix(self):
         n = 4000
