@@ -5,7 +5,8 @@ manifest with the fully resolved configuration, and re-running from that
 manifest reproduces the checkpoint and metrics byte for byte.
 
 Exit codes: 0 success, 1 runtime failure, 2 usage error: a missing or malformed
-flag or manifest, or any out-of-range flag or manifest value (a `ConfigurationError`).
+flag or manifest, or any out-of-range flag or manifest value. Every usage error
+is a `ConfigurationError`.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ from pathlib import Path
 
 from . import __version__
 from .affinity import build_neighbourhoods
-from .data import BlobSpec, Dataset, generate_blobs, load_dataset, save_bin, save_csv
-from .errors import AndkitError, ConfigurationError, ContractError
+from .data import BlobSpec, Dataset, generate_blobs, load_dataset, read_lines, save_bin, save_csv
+from .errors import AndkitError, ConfigurationError, ContractError, ParseError
 from .evaluation import (
     DEFAULT_EVAL_TAU,
     DEFAULT_K_EVAL,
@@ -34,6 +35,7 @@ from .evaluation import (
 )
 from .encoder import forward
 from .pipeline import (
+    MetricsRecord,
     TrainConfig,
     load_checkpoint,
     plan_round,
@@ -41,16 +43,20 @@ from .pipeline import (
     train,
 )
 
-class _UsageError(Exception):
-    pass
-
 
 def _parse_layers(text: str) -> tuple[int, ...]:
     try:
-        sizes = tuple(int(part) for part in text.split(","))
+        return tuple(int(part) for part in text.split(","))
     except ValueError:
-        raise _UsageError(f"--layers expects comma-separated integers, got {text!r}") from None
-    return sizes
+        raise ConfigurationError(f"--layers expects comma-separated integers, got {text!r}") from None
+
+
+def _emit(text: str, out) -> None:
+    """Write a command's text output to the file `out`, or to stdout when it is not given."""
+    if out:
+        Path(out).write_text(text)
+    else:
+        sys.stdout.write(text)
 
 
 def cmd_generate(args) -> int:
@@ -99,11 +105,11 @@ def cmd_train(args) -> int:
             data_path = Path(manifest["data"])  # a TypeError unless it is a path string
             out_dir = Path(args.out) if args.out else Path(manifest["out"])
         except (ValueError, KeyError, TypeError) as err:
-            raise _UsageError(f"{args.manifest}: malformed manifest: {err!r}") from None
+            raise ConfigurationError(f"{args.manifest}: malformed manifest: {err!r}") from None
         dataset = load_dataset(data_path)
     else:
         if not args.data or not args.out:
-            raise _UsageError("--data and --out are required (or use --manifest)")
+            raise ConfigurationError("--data and --out are required (or use --manifest)")
         data_path = args.data
         out_dir = Path(args.out)
         dataset = load_dataset(data_path)
@@ -149,7 +155,7 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     if not (math.isfinite(args.tau) and args.tau > 0):
-        raise _UsageError(f"--tau must be a finite number > 0, got {args.tau}")
+        raise ConfigurationError(f"--tau must be a finite number > 0, got {args.tau}")
     ckpt = load_checkpoint(args.checkpoint)
     split = load_dataset(args.data)
     if split.labels is None:
@@ -186,11 +192,7 @@ def cmd_eval(args) -> int:
         inconsistent_count=inconsistent,
         per_class_accuracy=per_class_accuracy(preds, split.labels),
     )
-    text = json.dumps(dataclasses.asdict(report), indent=2, sort_keys=True)
-    if args.out:
-        Path(args.out).write_text(text + "\n")
-    else:
-        print(text)
+    _emit(json.dumps(dataclasses.asdict(report), indent=2, sort_keys=True) + "\n", args.out)
     return 0
 
 
@@ -198,7 +200,7 @@ def cmd_inspect(args) -> int:
     ckpt = load_checkpoint(args.checkpoint)
     r = args.round if args.round is not None else ckpt.final_round
     if not 1 <= r <= ckpt.config.rounds:
-        raise _UsageError(f"--round must lie in [1, {ckpt.config.rounds}], got {r}")
+        raise ConfigurationError(f"--round must lie in [1, {ckpt.config.rounds}], got {r}")
     labels = None
     if args.data:
         labelled = load_dataset(args.data)
@@ -214,21 +216,24 @@ def cmd_inspect(args) -> int:
         lines.append(
             f"{i},{members},{float(plan.entropies[i])!r},{int(plan.selected[i])},{consistent}"
         )
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        Path(args.out).write_text(text)
-    else:
-        sys.stdout.write(text)
+    _emit("\n".join(lines) + "\n", args.out)
     return 0
 
 
 def cmd_curve(args) -> int:
-    rows = [json.loads(line) for line in Path(args.metrics).read_text().splitlines() if line]
-    text = consistency_curve_csv(rows)
-    if args.out:
-        Path(args.out).write_text(text)
-    else:
-        sys.stdout.write(text)
+    rows = []
+    for lineno, line in enumerate(read_lines(args.metrics), start=1):
+        if not line:
+            continue
+        try:
+            row = json.loads(line)
+            MetricsRecord(**row)  # a TypeError unless the line holds exactly a record's fields
+            if not isinstance(row["round"], int):
+                raise TypeError(f"round must be an integer, got {row['round']!r}")
+        except (ValueError, TypeError) as err:
+            raise ParseError(f"{args.metrics}: line {lineno}: bad metrics record: {err}") from None
+        rows.append(row)
+    _emit(consistency_curve_csv(rows), args.out)
     return 0
 
 
@@ -313,7 +318,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (_UsageError, ConfigurationError) as err:
+    except ConfigurationError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return 2
     except (AndkitError, OSError) as err:

@@ -25,6 +25,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -109,16 +110,10 @@ def generate_blobs(spec: BlobSpec) -> Dataset:
     centers = np.stack(
         [l2_normalize(rng.normals(spec.dim)) * spec.center_scale for _ in range(spec.num_classes)]
     )
-    n = spec.num_classes * spec.per_class
-    inputs = np.empty((n, spec.dim), dtype=np.float64)
-    labels = np.empty(n, dtype=np.int32)
-    row = 0
-    for c in range(spec.num_classes):
-        for _ in range(spec.per_class):
-            inputs[row] = centers[c] + spec.noise_sigma * rng.normals(spec.dim)
-            labels[row] = c
-            row += 1
-    return Dataset(inputs=inputs, labels=labels)
+    labels = np.repeat(np.arange(spec.num_classes, dtype=np.int32), spec.per_class)
+    # one row-major draw gives each sample the normals a per-sample draw would, in order
+    noise = rng.normals((labels.size, spec.dim))
+    return Dataset(inputs=centers[labels] + spec.noise_sigma * noise, labels=labels)
 
 
 def save_csv(dataset: Dataset, path) -> None:
@@ -132,9 +127,18 @@ def save_csv(dataset: Dataset, path) -> None:
             fh.write(f"{label},{cells}\n")
 
 
+def read_lines(path) -> list[str]:
+    """The lines of a UTF-8 text file; bytes that are not UTF-8 are a ParseError."""
+    blob = Path(path).read_bytes()
+    try:
+        return blob.decode("utf-8").splitlines()
+    except UnicodeDecodeError as err:
+        lineno = blob.count(b"\n", 0, err.start) + 1
+        raise ParseError(f"{path}: line {lineno}: not valid UTF-8") from None
+
+
 def load_csv(path) -> Dataset:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    lines = read_lines(path)
     if not lines:
         raise ParseError(f"{path}: line 1: missing header")
     header = lines[0].split(",")

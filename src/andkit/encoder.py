@@ -29,14 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    ConfigurationError,
-    ContractError,
-    DegenerateInputError,
-    DimensionError,
-    NumericError,
-)
-from .numerics import NORM_EPS, SeededRng
+from .errors import ConfigurationError, ContractError, DimensionError, NumericError
+from .numerics import SeededRng, row_norms
 
 REFERENCE_EPOCHS = 200
 DECAY_START = 80
@@ -116,14 +110,7 @@ def forward(params: EncoderParams, inputs) -> tuple[np.ndarray, ForwardCache]:
             a = np.maximum(z, 0.0)
             layer_inputs.append(a)
     z_last = pre_acts[-1]
-    norms = np.sqrt(np.einsum("ij,ij->i", z_last, z_last))
-    bad = np.flatnonzero(~(norms > NORM_EPS))
-    if bad.size:
-        err = DegenerateInputError(
-            f"pre-normalization feature row {int(bad[0])} has norm {norms[bad[0]]:.3e}"
-        )
-        err.row = int(bad[0])
-        raise err
+    norms = row_norms(z_last, "pre-normalization feature row")
     features = z_last / norms[:, None]
     cache = ForwardCache(
         params=params,

@@ -14,7 +14,7 @@ class DegenerateInputError(AndkitError, ValueError):
 
 
 class ConfigurationError(AndkitError, ValueError):
-    """A parameter is out of range; the CLI reports it as exit 2, loaders never raise it."""
+    """A bad or mistyped parameter; the CLI's only usage-error type (exit 2), never a loader's."""
 
 
 class ContractError(AndkitError, ValueError):

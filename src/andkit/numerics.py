@@ -1,8 +1,8 @@
 """Dense float64 primitives and a portable deterministic RNG.
 
-Package code normalises (`l2_normalize`, `l2_normalize_rows`), takes softmaxes
-(`stable_softmax`) and draws random numbers (`SeededRng`) only through this
-module. All are float64 in, float64 out.
+Package code takes row norms (`row_norms`), normalises (`l2_normalize`, `l2_normalize_rows`),
+takes softmaxes (`stable_softmax`) and draws random numbers (`SeededRng`)
+only through this module. All are float64 in, float64 out.
 Vectors are plain 1-D ``numpy.ndarray`` values and matrices are row-major
 2-D arrays; no wrapper classes.
 
@@ -136,18 +136,22 @@ def l2_normalize(v) -> np.ndarray:
     return v / norm
 
 
-def l2_normalize_rows(mat) -> np.ndarray:
-    """Normalize each row of a matrix to unit L2 norm."""
+def row_norms(mat, what: str = "row") -> np.ndarray:
+    """Per-row L2 norms; a `what` with norm <= 1e-12 or NaN is a DegenerateInputError, `.row` set."""
     m = np.asarray(mat, dtype=np.float64)
     norms = np.sqrt(np.einsum("ij,ij->i", m, m))
     bad = np.flatnonzero(~(norms > NORM_EPS))
     if bad.size:
-        err = DegenerateInputError(
-            f"row {int(bad[0])} has norm {norms[bad[0]]:.3e}, cannot normalize"
-        )
+        err = DegenerateInputError(f"{what} {int(bad[0])} has norm {norms[bad[0]]:.3e}")
         err.row = int(bad[0])
         raise err
-    return m / norms[:, None]
+    return norms
+
+
+def l2_normalize_rows(mat) -> np.ndarray:
+    """Normalize each row of a matrix to unit L2 norm; `row_norms` rejects degenerate rows."""
+    m = np.asarray(mat, dtype=np.float64)
+    return m / row_norms(m)[:, None]
 
 
 def stable_softmax(logits) -> np.ndarray:

@@ -1,7 +1,8 @@
 """Training orchestration: curriculum rounds, epoch loop, checkpoints.
 
-A run is one instance-only warm-up phase followed by R curriculum rounds.
-At the start of round r the memory bank is frozen for planning: every
+A run is R + 1 rounds of one epoch loop: round 0 is the instance-only
+warm-up (the all-singleton plan, nothing selected), then R curriculum rounds.
+At the start of round r >= 1 the memory bank is frozen for planning: every
 sample's similarity distribution (query = its own memory row) yields a
 consistency entropy, the floor(N * r / R) lowest-entropy anchors are
 selected for neighbourhood supervision, and the exact top-k member array of
@@ -114,7 +115,8 @@ class TrainConfig:
     force_singleton_neighbourhoods: bool = False  # test hook: k-NN search disabled
 
     def __post_init__(self):
-        object.__setattr__(self, "layer_sizes", tuple(int(s) for s in self.layer_sizes))
+        # a list (as a manifest holds) becomes a tuple; `validate` type-checks the entries
+        object.__setattr__(self, "layer_sizes", tuple(self.layer_sizes))
 
     def validate(self, n: int | None = None) -> None:
         """Raise ConfigurationError on a mistyped or out-of-range field, or a bad `n` if given."""
@@ -139,6 +141,8 @@ class TrainConfig:
             raise ConfigurationError(f"eta must lie in (0, 1], got {self.eta}")
         if self.k < 1:
             raise ConfigurationError(f"k must be >= 1, got {self.k}")
+        if any(isinstance(s, bool) or not isinstance(s, numbers.Integral) for s in self.layer_sizes):
+            raise ConfigurationError(f"layer_sizes must be integers, got {self.layer_sizes!r}")
         EncoderConfig(layer_sizes=self.layer_sizes)
         if n is not None and n < 2:
             raise ConfigurationError(f"need at least 2 samples, got {n}")
@@ -249,50 +253,39 @@ def train(
     batch_size = min(config.batch_size, n)
 
     records: list[MetricsRecord] = []
-    global_epoch = 0
-
-    def run_epoch(plan: RoundPlan, round_idx: int, epoch_in_phase: int, extra: dict) -> None:
-        nonlocal global_epoch
-        schedule_epoch = epoch_in_phase if config.lr_reset_per_round else global_epoch
-        opt.lr = lr_at(schedule_epoch, config.base_lr, config.epochs_per_round)
-        loss_sum = 0.0
-        for batch in make_batches(n, batch_size, batch_rng):
-            try:
-                feats, cache = forward(params, x[batch])
-            except DegenerateInputError as err:
-                row = getattr(err, "row", None)
-                sample = int(batch[row]) if row is not None else -1
-                raise DegenerateInputError(f"sample {sample}: {err}") from err
-            loss, gfeats = round_batch_loss(feats, plan.batch_members(batch), bank, config.tau)
-            sgd_nesterov_step(params, backward(params, cache, gfeats), opt)
-            update_batch(bank, batch, feats)
-            loss_sum += loss * batch.size
-        records.append(
-            MetricsRecord(
-                round=round_idx,
-                epoch=global_epoch,
-                mean_loss=loss_sum / n,
-                selected_fraction=float(plan.selected.mean()),
-                **extra,
-            )
-        )
-        global_epoch += 1
-
-    # warm-up selects no anchor, so every sample trains on its instance term
-    warmup = RoundPlan(np.zeros(n), np.zeros(n, dtype=bool), np.arange(n)[:, None])
-    for e in range(config.init_epochs_resolved):
-        run_epoch(warmup, 0, e, {})
-
-    plan = None
-    for r in range(1, config.rounds + 1):
-        if plan is None or not config.one_off:
+    epoch = 0
+    # round 0 is the warm-up: it selects no anchor, so every sample trains on its instance term
+    plan = RoundPlan(np.zeros(n), np.zeros(n, dtype=bool), np.arange(n)[:, None])
+    for r in range(config.rounds + 1):
+        if r and (r == 1 or not config.one_off):
             # one-off mode plans once, at full selection, and never re-plans
             plan = plan_round(bank, config, config.rounds if config.one_off else r)
-        if config.instance_only:
-            plan = replace(plan, selected=np.zeros(n, dtype=bool))
-        extra = dict(monitor(r, plan, bank, params)) if monitor is not None else {}
-        for e in range(config.epochs_per_round):
-            run_epoch(plan, r, e, extra)
+            if config.instance_only:
+                plan = replace(plan, selected=np.zeros(n, dtype=bool))
+        extra = dict(monitor(r, plan, bank, params)) if r and monitor is not None else {}
+        for e in range(config.epochs_per_round if r else config.init_epochs_resolved):
+            schedule_epoch = e if config.lr_reset_per_round else epoch
+            opt.lr = lr_at(schedule_epoch, config.base_lr, config.epochs_per_round)
+            loss_sum = 0.0
+            for batch in make_batches(n, batch_size, batch_rng):
+                try:
+                    feats, cache = forward(params, x[batch])
+                except DegenerateInputError as err:  # err.row is the row within the batch
+                    raise DegenerateInputError(f"sample {int(batch[err.row])}: {err}") from err
+                loss, gfeats = round_batch_loss(feats, plan.batch_members(batch), bank, config.tau)
+                sgd_nesterov_step(params, backward(params, cache, gfeats), opt)
+                update_batch(bank, batch, feats)
+                loss_sum += loss * batch.size
+            records.append(
+                MetricsRecord(
+                    round=r,
+                    epoch=epoch,
+                    mean_loss=loss_sum / n,
+                    selected_fraction=float(plan.selected.mean()),
+                    **extra,
+                )
+            )
+            epoch += 1
     return params, bank, records
 
 

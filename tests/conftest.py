@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 
 from andkit.memory import FeatureBank
-from andkit.numerics import SeededRng, l2_normalize_rows
+from andkit.numerics import SeededRng, l2_normalize, l2_normalize_rows
 
 
 def finite_difference(f, x, step=1e-6):
@@ -54,7 +54,8 @@ def dyadic_matrix(n, d, seed):
 
 # Dense reference kernels: the plain forms that `numerics.stable_softmax`,
 # `affinity.entropy_rows` and `losses.round_batch_loss` had before their
-# temporaries were cut. The production kernels must match them bit for bit.
+# temporaries were cut, and `data.generate_blobs` before its per-sample loop
+# became one draw. The production code must match them bit for bit.
 
 
 def dense_softmax(logits):
@@ -78,6 +79,20 @@ def dense_batch_loss(feats, members, bank, tau):
     target /= q[:, None]
     grads = (p - target) @ bank.features / (tau * feats.shape[0])
     return float((-np.log(q)).mean()), grads
+
+
+def looped_blobs(spec):
+    """(inputs, labels) of a blob spec, drawing each sample's noise on its own."""
+    rng = SeededRng(spec.seed)
+    centers = [
+        l2_normalize(rng.normals(spec.dim)) * spec.center_scale for _ in range(spec.num_classes)
+    ]
+    inputs, labels = [], []
+    for c in range(spec.num_classes):
+        for _ in range(spec.per_class):
+            inputs.append(centers[c] + spec.noise_sigma * rng.normals(spec.dim))
+            labels.append(c)
+    return np.array(inputs), np.array(labels, dtype=np.int32)
 
 
 def traced_peak(fn, *args):

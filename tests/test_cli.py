@@ -98,6 +98,7 @@ class TestGenerate:
         assert code == 2
         assert not (tmp_path / "r").exists()
         good = json.loads((run_dir / "manifest.json").read_text())
+        layers = good["config"]["layer_sizes"]
         malformed = {
             "unknown-key.json": {**good, "config": {**good["config"], "round": 4}},
             "no-config.json": {k: v for k, v in good.items() if k != "config"},
@@ -105,6 +106,15 @@ class TestGenerate:
             "string-rounds.json": {**good, "config": {**good["config"], "rounds": "4"}},
             "string-seed.json": {**good, "config": {**good["config"], "seed": "1"}},
             "numeric-data.json": {**good, "data": 0},
+            "float-layers.json": {
+                **good, "config": {**good["config"], "layer_sizes": [*layers[:-1], layers[-1] + 0.9]}
+            },
+            "string-layers.json": {
+                **good, "config": {**good["config"], "layer_sizes": [str(s) for s in layers]}
+            },
+            "bool-layers.json": {
+                **good, "config": {**good["config"], "layer_sizes": [layers[0], True, layers[-1]]}
+            },
         }
         for name, blob in malformed.items():
             (tmp_path / name).write_text(json.dumps(blob))
@@ -255,6 +265,18 @@ class TestCurve:
         for line in lines[1:]:
             _, cons, incons = line.split(",")
             assert int(cons) >= 0 and int(incons) >= 0
+
+    def test_malformed_line_is_parse_error(self, run_dir, tmp_path, capsys):
+        good = (run_dir / "metrics.jsonl").read_text()
+        path = tmp_path / "metrics.jsonl"
+        lineno = len(good.splitlines()) + 1
+        for bad in ('{"round": 1', "[1, 2]", '{"epoch": 1}'):
+            path.write_text(good + bad + "\n")
+            capsys.readouterr()
+            assert run("curve", "--metrics", path, "--out", tmp_path / "curve.csv") == 1, bad
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and f"{path}: line {lineno}:" in err, bad
+            assert not (tmp_path / "curve.csv").exists()
 
 
 class TestInspect:

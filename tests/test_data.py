@@ -18,6 +18,8 @@ from andkit.data import (
 from andkit.errors import ConfigurationError, FormatError, ParseError
 from andkit.numerics import SeededRng
 
+from conftest import looped_blobs
+
 
 class TestGenerateBlobs:
     def test_counts_and_labels(self):
@@ -40,6 +42,21 @@ class TestGenerateBlobs:
         same = [cos[i, j] for i in range(4) for j in range(4) if i != j and ds.labels[i] == ds.labels[j]]
         diff = [cos[i, j] for i in range(4) for j in range(4) if ds.labels[i] != ds.labels[j]]
         assert min(same) > max(diff)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            BlobSpec(num_classes=4, per_class=100, dim=32, seed=7),
+            # odd dims: the Box-Muller spare normal carries over from one sample to the next
+            BlobSpec(3, 5, 7, center_scale=2.5, noise_sigma=0.3, seed=9),
+            BlobSpec(2, 3, 3, center_scale=0.0, seed=1),
+        ],
+    )
+    def test_matches_per_sample_loop_bit_for_bit(self, spec):
+        ds = generate_blobs(spec)
+        inputs, labels = looped_blobs(spec)
+        assert ds.inputs.tobytes() == inputs.tobytes()
+        np.testing.assert_array_equal(ds.labels, labels)
 
     def test_zero_noise_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -102,6 +119,12 @@ class TestCsvRoundTrip:
         path = tmp_path / "bad.csv"
         path.write_text("label,f0,f1\n0,1.0,2.0\n1,oops,4.0\n")
         with pytest.raises(ParseError, match="line 3"):
+            load_csv(path)
+
+    def test_invalid_utf8_names_line(self, tmp_path):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"label,f0,f1\n0,1.0,2.0\n1,3.0,\xe94.0\n")
+        with pytest.raises(ParseError, match="line 3: not valid UTF-8"):
             load_csv(path)
 
 

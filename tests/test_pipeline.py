@@ -228,6 +228,31 @@ class TestTrain:
         assert all(r.consistent_count == 5 and r.knn_accuracy == 0.5 for r in round_records)
         assert all(r.consistent_count is None for r in records if r.round == 0)
 
+    @pytest.mark.parametrize("one_off", [False, True])
+    @pytest.mark.parametrize("lr_reset_per_round", [False, True])
+    def test_round_plans_and_schedule_epochs(self, monkeypatch, one_off, lr_reset_per_round):
+        import andkit.pipeline as pipeline
+
+        planned, scheduled, monitored = [], [], []
+        real_plan, real_lr = pipeline.plan_round, pipeline.lr_at
+        monkeypatch.setattr(
+            pipeline, "plan_round", lambda bank, cfg, r: planned.append(r) or real_plan(bank, cfg, r)
+        )
+        monkeypatch.setattr(pipeline, "lr_at", lambda *a: scheduled.append(a) or real_lr(*a))
+        cfg = small_config(
+            rounds=3, epochs_per_round=2, init_epochs=3, one_off=one_off,
+            lr_reset_per_round=lr_reset_per_round,
+        )
+        _, _, records = train(small_inputs(), cfg, monitor=lambda r, *_: monitored.append(r) or {})
+        # one-off plans once, at full selection; otherwise round r plans r
+        assert planned == ([3] if one_off else [1, 2, 3])
+        assert monitored == [1, 2, 3]
+        # the warm-up is the first phase; with a reset each phase restarts the schedule
+        epochs = [0, 1, 2] + [0, 1] * 3 if lr_reset_per_round else list(range(9))
+        assert scheduled == [(e, cfg.base_lr, cfg.epochs_per_round) for e in epochs]
+        assert [rec.round for rec in records] == [0, 0, 0, 1, 1, 2, 2, 3, 3]
+        assert [rec.epoch for rec in records] == list(range(9))
+
     def test_labels_never_touched(self):
         # the training surface accepts a bare matrix; there is no labels argument
         import inspect
@@ -252,6 +277,8 @@ class TestTrain:
         for override in (
             {"rounds": 0}, {"rounds": "4"}, {"seed": "1"}, {"k": True}, {"init_epochs": 2.5},
             {"base_lr": "0.1"}, {"one_off": 1},
+            {"layer_sizes": (8.9, 10, 4)}, {"layer_sizes": ("8", "10", "4")},
+            {"layer_sizes": (8, True, 4)},
         ):
             with pytest.raises(ConfigurationError):
                 train(small_inputs(), small_config(**override))
