@@ -20,7 +20,7 @@ from pathlib import Path
 
 from . import __version__
 from .affinity import build_neighbourhoods
-from .data import BlobSpec, Dataset, generate_blobs, load_dataset, read_lines, save_bin, save_csv
+from .data import BlobSpec, Dataset, generate_blobs, load_dataset, read_lines, save_dataset
 from .errors import AndkitError, ConfigurationError, ContractError, ParseError
 from .evaluation import (
     DEFAULT_EVAL_TAU,
@@ -70,10 +70,7 @@ def cmd_generate(args) -> int:
             seed=args.seed,
         )
     )
-    if args.format == "csv":
-        save_csv(dataset, args.out)
-    else:
-        save_bin(dataset, args.out)
+    save_dataset(dataset, args.out)
     print(f"wrote {dataset.n} samples ({dataset.dim} dims, {args.classes} classes) to {args.out}")
     return 0
 
@@ -100,7 +97,11 @@ def cmd_train(args) -> int:
     if args.manifest:
         try:
             manifest = json.loads(Path(args.manifest).read_text())
-            config = TrainConfig(**manifest["config"])
+            blob = manifest["config"]
+            # older manifests hold this removed field as false; a `true` stays and is refused
+            if isinstance(blob, dict) and blob.get("force_singleton_neighbourhoods") is False:
+                del blob["force_singleton_neighbourhoods"]
+            config = TrainConfig(**blob)
             config.validate()
             data_path = Path(manifest["data"])  # a TypeError unless it is a path string
             out_dir = Path(args.out) if args.out else Path(manifest["out"])
@@ -113,12 +114,11 @@ def cmd_train(args) -> int:
         data_path = args.data
         out_dir = Path(args.out)
         dataset = load_dataset(data_path)
-        init_epochs = 0 if args.init == "none" else args.init_epochs
         config = TrainConfig(
             layer_sizes=(dataset.dim,) + _parse_layers(args.layers),
             rounds=args.rounds,
             epochs_per_round=args.epochs,
-            init_epochs=init_epochs,
+            init_epochs=args.init_epochs,
             batch_size=args.batch_size,
             base_lr=args.lr,
             momentum=args.momentum,
@@ -183,7 +183,7 @@ def cmd_eval(args) -> int:
             bank_split, split, ckpt.params, epochs=args.probe_epochs, lr=args.probe_lr
         )
     consistent, inconsistent = neighbourhood_consistency(
-        build_neighbourhoods(ckpt.bank, ckpt.config.neighbourhood_k), bank_split.labels
+        build_neighbourhoods(ckpt.bank, ckpt.config.k), bank_split.labels
     )
     report = EvalReport(
         knn_accuracy=float((preds == split.labels).mean()),
@@ -252,8 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--center-scale", type=float, default=5.0)
     gen.add_argument("--noise-sigma", type=float, default=1.0)
     gen.add_argument("--seed", type=int, default=0)
-    gen.add_argument("--format", choices=("bin", "csv"), default="bin")
-    gen.add_argument("--out", required=True)
+    gen.add_argument("--out", required=True, help="CSV for a .csv path, else binary .ands")
     gen.set_defaults(func=cmd_generate)
 
     tr = sub.add_parser("train", help="run the curriculum trainer")
@@ -262,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     tr.add_argument("--manifest", help="re-run the exact configuration of a prior manifest")
     tr.add_argument("--rounds", type=int, default=4)
     tr.add_argument("--epochs", type=int, default=20, help="epochs per round")
-    tr.add_argument("--init-epochs", type=int, default=None, help="default: same as --epochs")
+    tr.add_argument("--init-epochs", type=int, help="0 skips the warm-up (default: --epochs)")
     tr.add_argument("--batch-size", type=int, default=128)
     tr.add_argument("--lr", type=float, default=0.03)
     tr.add_argument("--momentum", type=float, default=0.9)
@@ -271,12 +270,6 @@ def build_parser() -> argparse.ArgumentParser:
     tr.add_argument("--k", type=int, default=1)
     tr.add_argument("--seed", type=int, default=0)
     tr.add_argument("--layers", default="64,16", help="hidden and output sizes after the input dim")
-    tr.add_argument(
-        "--init",
-        choices=("random", "none"),
-        default="random",
-        help="'none' skips the instance-specificity warm-up phase",
-    )
     tr.add_argument("--one-off", action="store_true", help="plan all anchors once, no curriculum")
     tr.add_argument(
         "--instance-only", action="store_true", help="baseline: never use neighbourhood terms"

@@ -223,6 +223,14 @@ def load_dataset(path) -> Dataset:
     return load_bin(path)
 
 
+def save_dataset(dataset: Dataset, path) -> None:
+    """Write the format `load_dataset` reads back: ``.csv`` as text, everything else binary."""
+    if str(path).endswith(".csv"):
+        save_csv(dataset, path)
+    else:
+        save_bin(dataset, path)
+
+
 def make_batches(n: int, batch_size: int, rng: SeededRng) -> list[np.ndarray]:
     """Chunk a seeded permutation of 0..n-1 into batches.
 

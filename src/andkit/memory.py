@@ -3,7 +3,9 @@
 The bank holds one unit-norm float64 row per training sample. Fresh batch
 features are blended in as ``(1 - eta) * old + eta * fresh`` and the row is
 re-normalized afterwards: the blend alone does not preserve unit norm, and
-every consumer treats bank inner products as cosine similarities.
+every consumer treats bank inner products as cosine similarities. The rate
+eta is not part of the bank: the caller passes `TrainConfig.eta`, which is
+where its range is checked.
 """
 
 from __future__ import annotations
@@ -15,15 +17,12 @@ import numpy as np
 from .errors import ConfigurationError, ContractError, DimensionError
 from .numerics import SeededRng, l2_normalize_rows
 
-DEFAULT_ETA = 0.5
-
 
 @dataclass
 class FeatureBank:
-    """N x D memory of unit-norm feature rows with EMA update momentum."""
+    """N x D memory of unit-norm feature rows; `update_batch` blends fresh rows in."""
 
     features: np.ndarray  # (n, d) float64, unit rows
-    eta: float = DEFAULT_ETA
 
     @property
     def n(self) -> int:
@@ -34,7 +33,7 @@ class FeatureBank:
         return self.features.shape[1]
 
 
-def init_bank(n: int, d: int, rng: SeededRng, eta: float = DEFAULT_ETA) -> FeatureBank:
+def init_bank(n: int, d: int, rng: SeededRng) -> FeatureBank:
     """Fill a bank with independent random unit directions.
 
     Rows are seeded random normals, normalized. Zero-initialised rows would
@@ -43,13 +42,11 @@ def init_bank(n: int, d: int, rng: SeededRng, eta: float = DEFAULT_ETA) -> Featu
     """
     if n < 2 or d < 2:
         raise ConfigurationError(f"bank needs n >= 2 and d >= 2, got ({n}, {d})")
-    if not 0.0 < eta <= 1.0:
-        raise ConfigurationError(f"eta must lie in (0, 1], got {eta}")
-    return FeatureBank(features=l2_normalize_rows(rng.normals((n, d))), eta=eta)
+    return FeatureBank(features=l2_normalize_rows(rng.normals((n, d))))
 
 
-def update_batch(bank: FeatureBank, indices, fresh) -> None:
-    """Blend fresh unit-norm rows into the bank at `indices`, then renormalize.
+def update_batch(bank: FeatureBank, indices, fresh, eta: float) -> None:
+    """Blend fresh unit-norm rows into the bank at `indices` at rate eta, then renormalize.
 
     Rows not named in `indices` are untouched. Indices must be unique;
     a duplicate would make the result depend on iteration order.
@@ -66,7 +63,7 @@ def update_batch(bank: FeatureBank, indices, fresh) -> None:
         raise ContractError("duplicate indices in one memory update")
     if idx.size and (idx.min() < 0 or idx.max() >= bank.n):
         raise IndexError(f"index out of range for bank of {bank.n} rows")
-    blended = (1.0 - bank.eta) * bank.features[idx] + bank.eta * fresh
+    blended = (1.0 - eta) * bank.features[idx] + eta * fresh
     bank.features[idx] = l2_normalize_rows(blended)
 
 

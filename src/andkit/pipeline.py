@@ -6,9 +6,10 @@ At the start of round r >= 1 the memory bank is frozen for planning: every
 sample's similarity distribution (query = its own memory row) yields a
 consistency entropy, the floor(N * r / R) lowest-entropy anchors are
 selected for neighbourhood supervision, and the exact top-k member array of
-every anchor is built (row i: anchor i first, then its k nearest rows; k = 0
-is the singleton). The plan stays fixed for the whole round while the bank
-itself keeps updating every batch.
+every anchor is built (row i: anchor i first, then its k nearest rows). The
+plan stays fixed for the whole round while the bank keeps updating every
+batch. In `plan_round`, one-off selects as at round R and instance-only
+selects no anchor.
 
 Training never sees labels: `train` accepts only the raw input matrix.
 Label-dependent diagnostics (neighbourhood consistency, kNN accuracy)
@@ -23,7 +24,7 @@ Checkpoint format (extension ``.andc``, all integers little-endian):
         final_round                                   each u32
         seed                                          i64
         lr_reset_per_round, one_off, instance_only,
-        force_singleton_neighbourhoods                each u8
+        reserved (always 0; else a FormatError)       each u8
         base_lr, momentum, tau, eta                   each f64
         (*) init_epochs stores 0xFFFFFFFF when unset
     layers   u32 count, then one u32 per layer size
@@ -36,7 +37,7 @@ from __future__ import annotations
 import math
 import numbers
 import struct
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields
 from typing import Callable
 
 import numpy as np
@@ -61,7 +62,7 @@ from .numerics import SeededRng, derive_seed, stable_softmax
 _MAGIC = b"ANDC"
 _VERSION = 1
 _HEAD = struct.Struct("<4sH")
-_CONFIG = struct.Struct("<6Iq????dddd")  # "?": the four flags are u8 0/1 on disk
+_CONFIG = struct.Struct("<6Iq????dddd")  # "?": three flags and the reserved byte, u8 0/1
 _INIT_UNSET = 0xFFFFFFFF
 # Field order of the checkpoint config block; `_CONFIG` gives each one's type.
 _CONFIG_FIELDS = (
@@ -75,7 +76,7 @@ _CONFIG_FIELDS = (
     "lr_reset_per_round",
     "one_off",
     "instance_only",
-    "force_singleton_neighbourhoods",
+    "reserved",
     "base_lr",
     "momentum",
     "tau",
@@ -112,7 +113,6 @@ class TrainConfig:
     lr_reset_per_round: bool = False
     one_off: bool = False  # ablation: plan all anchors at round 1, never re-plan
     instance_only: bool = False  # baseline: every sample keeps its instance term
-    force_singleton_neighbourhoods: bool = False  # test hook: k-NN search disabled
 
     def __post_init__(self):
         # a list (as a manifest holds) becomes a tuple; `validate` type-checks the entries
@@ -146,17 +146,12 @@ class TrainConfig:
         EncoderConfig(layer_sizes=self.layer_sizes)
         if n is not None and n < 2:
             raise ConfigurationError(f"need at least 2 samples, got {n}")
-        if n is not None and self.neighbourhood_k > n - 1:
+        if n is not None and self.k > n - 1:
             raise ConfigurationError(f"k must lie in [1, {n - 1}] for {n} samples, got {self.k}")
 
     @property
     def init_epochs_resolved(self) -> int:
         return self.epochs_per_round if self.init_epochs is None else self.init_epochs
-
-    @property
-    def neighbourhood_k(self) -> int:
-        """Neighbours per anchor in a plan; 0 (the singleton) when search is disabled."""
-        return 0 if self.force_singleton_neighbourhoods else self.k
 
 
 @dataclass
@@ -215,10 +210,16 @@ def bank_entropies(bank: FeatureBank, tau: float) -> np.ndarray:
 
 
 def plan_round(bank: FeatureBank, config: TrainConfig, r: int) -> RoundPlan:
-    """Freeze entropies, neighbourhoods, and the selection mask for round r."""
+    """Freeze entropies, neighbourhoods, and the selection mask that round r trains on.
+
+    One-off selects as at round R in every round; instance-only selects no anchor.
+    """
     entropies = bank_entropies(bank, config.tau)
-    selected = select_anchors(entropies, r, config.rounds)
-    members = build_neighbourhoods(bank, config.neighbourhood_k)
+    if config.instance_only:
+        selected = np.zeros(bank.n, dtype=bool)
+    else:
+        selected = select_anchors(entropies, config.rounds if config.one_off else r, config.rounds)
+    members = build_neighbourhoods(bank, config.k)
     return RoundPlan(entropies=entropies, selected=selected, members=members)
 
 
@@ -247,7 +248,7 @@ def train(
         )
 
     params = init_params(EncoderConfig(config.layer_sizes, seed=derive_seed(config.seed, 1)))
-    bank = init_bank(n, config.layer_sizes[-1], SeededRng(derive_seed(config.seed, 2)), config.eta)
+    bank = init_bank(n, config.layer_sizes[-1], SeededRng(derive_seed(config.seed, 2)))
     batch_rng = SeededRng(derive_seed(config.seed, 3))
     opt = OptimState.init_like(params, lr=config.base_lr, momentum=config.momentum)
     batch_size = min(config.batch_size, n)
@@ -257,11 +258,8 @@ def train(
     # round 0 is the warm-up: it selects no anchor, so every sample trains on its instance term
     plan = RoundPlan(np.zeros(n), np.zeros(n, dtype=bool), np.arange(n)[:, None])
     for r in range(config.rounds + 1):
-        if r and (r == 1 or not config.one_off):
-            # one-off mode plans once, at full selection, and never re-plans
-            plan = plan_round(bank, config, config.rounds if config.one_off else r)
-            if config.instance_only:
-                plan = replace(plan, selected=np.zeros(n, dtype=bool))
+        if r and (r == 1 or not config.one_off):  # one-off plans once and never re-plans
+            plan = plan_round(bank, config, r)
         extra = dict(monitor(r, plan, bank, params)) if r and monitor is not None else {}
         for e in range(config.epochs_per_round if r else config.init_epochs_resolved):
             schedule_epoch = e if config.lr_reset_per_round else epoch
@@ -274,7 +272,7 @@ def train(
                     raise DegenerateInputError(f"sample {int(batch[err.row])}: {err}") from err
                 loss, gfeats = round_batch_loss(feats, plan.batch_members(batch), bank, config.tau)
                 sgd_nesterov_step(params, backward(params, cache, gfeats), opt)
-                update_batch(bank, batch, feats)
+                update_batch(bank, batch, feats, config.eta)
                 loss_sum += loss * batch.size
             records.append(
                 MetricsRecord(
@@ -311,6 +309,7 @@ def save_checkpoint(
     fields = asdict(config) | {
         "final_round": config.rounds if final_round is None else final_round,
         "init_epochs": _INIT_UNSET if config.init_epochs is None else config.init_epochs,
+        "reserved": False,
     }
     with open(path, "wb") as fh:
         fh.write(_HEAD.pack(_MAGIC, _VERSION))
@@ -364,6 +363,8 @@ def load_checkpoint(path) -> Checkpoint:
     if not all(np.isfinite(a).all() for a in (*weights, *biases, features)):
         raise FormatError(f"{path}: non-finite weight, bias or bank value")
     final_round = fields.pop("final_round")
+    if fields.pop("reserved"):
+        raise FormatError(f"{path}: reserved config byte is not 0")
     if fields["init_epochs"] == _INIT_UNSET:
         fields["init_epochs"] = None
     config = TrainConfig(layer_sizes=sizes, **fields)
@@ -375,7 +376,7 @@ def load_checkpoint(path) -> Checkpoint:
         raise FormatError(f"{path}: invalid config: {err}") from err
     return Checkpoint(
         params=EncoderParams(weights=weights, biases=biases),
-        bank=FeatureBank(features=features, eta=config.eta),
+        bank=FeatureBank(features=features),
         config=config,
         final_round=final_round,
     )

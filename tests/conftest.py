@@ -34,8 +34,8 @@ def random_unit(d, seed):
     return v / np.linalg.norm(v)
 
 
-def random_bank(n, d, seed, eta=0.5):
-    return FeatureBank(features=l2_normalize_rows(SeededRng(seed).normals((n, d))), eta=eta)
+def random_bank(n, d, seed):
+    return FeatureBank(features=l2_normalize_rows(SeededRng(seed).normals((n, d))))
 
 
 def dyadic_matrix(n, d, seed):

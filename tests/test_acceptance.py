@@ -186,8 +186,8 @@ def test_curriculum_exactness():
 
 
 def test_ema_exactness():
-    bank = FeatureBank(features=np.array([[0.6, 0.8], [0.0, 1.0]]), eta=0.5)
-    update_batch(bank, [0], np.array([[1.0, 0.0]]))
+    bank = FeatureBank(features=np.array([[0.6, 0.8], [0.0, 1.0]]))
+    update_batch(bank, [0], np.array([[1.0, 0.0]]), 0.5)
     hand = np.array([0.894427190999916, 0.447213595499958])  # (2,1)/sqrt(5)
     hand_err = np.abs(bank.features[0] - hand).max()
 
@@ -196,7 +196,7 @@ def test_ema_exactness():
     for _ in range(10_000):
         idx = rng.permutation(32)[:2]
         fresh = l2_normalize_rows(rng.normals((2, 8)))
-        update_batch(big, idx, fresh)
+        update_batch(big, idx, fresh, 0.5)
     norm_err = np.abs(np.linalg.norm(big.features, axis=1) - 1.0).max()
     report(
         "EMA update exactness",
@@ -210,16 +210,19 @@ def test_ema_exactness():
 # ----------------------------------------------------------------------
 
 
-def test_degeneration_equivalence():
+def test_degeneration_equivalence(monkeypatch):
+    import andkit.pipeline as pipeline
+
     inputs = SeededRng(55).normals((30, 8)) + 2.0
     common = dict(
         layer_sizes=(8, 10, 4), rounds=3, epochs_per_round=3, init_epochs=3,
         batch_size=8, seed=4,
     )
-    _, _, and_recs = train(
-        inputs, TrainConfig(force_singleton_neighbourhoods=True, **common)
-    )
     _, _, inst_recs = train(inputs, TrainConfig(instance_only=True, **common))
+    # k-NN search disabled: every anchor's neighbourhood is the singleton
+    search = pipeline.build_neighbourhoods
+    monkeypatch.setattr(pipeline, "build_neighbourhoods", lambda bank, k: search(bank, 0))
+    _, _, and_recs = train(inputs, TrainConfig(**common))
     gaps = [abs(a.mean_loss - b.mean_loss) for a, b in zip(and_recs, inst_recs)]
     report(
         "degeneration equivalence",

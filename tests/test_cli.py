@@ -91,6 +91,16 @@ class TestGenerate:
             code = run("train", "--data", blob_file, flag, value, "--out", tmp_path / "r")
             assert code == 2, (flag, value)
             assert not (tmp_path / "r").exists()
+        # removed flags: `--init-epochs 0` skips the warm-up, the --out extension picks the format
+        for argv in (
+            ("train", "--data", blob_file, "--init", "none", "--out", tmp_path / "r"),
+            ("generate", "--classes", 2, "--per-class", 10, "--dim", 8, "--format", "csv",
+             "--out", tmp_path / "x.csv"),
+        ):
+            with pytest.raises(SystemExit) as exc:
+                run(*argv)
+            assert exc.value.code == 2, argv
+            assert not (tmp_path / "r").exists() and not (tmp_path / "x.csv").exists()
         manifest = json.loads((run_dir / "manifest.json").read_text())
         manifest["config"]["rounds"] = 0
         (tmp_path / "manifest.json").write_text(json.dumps(manifest))
@@ -114,6 +124,9 @@ class TestGenerate:
             },
             "bool-layers.json": {
                 **good, "config": {**good["config"], "layer_sizes": [layers[0], True, layers[-1]]}
+            },
+            "singleton-hook.json": {
+                **good, "config": {**good["config"], "force_singleton_neighbourhoods": True}
             },
         }
         for name, blob in malformed.items():
@@ -144,10 +157,13 @@ class TestGenerate:
     def test_csv_format(self, tmp_path):
         path = tmp_path / "blobs.csv"
         assert run(
-            "generate", "--classes", 2, "--per-class", 3, "--dim", 4,
-            "--format", "csv", "--out", path,
+            "generate", "--classes", 2, "--per-class", 3, "--dim", 4, "--out", path,
         ) == 0
         assert path.read_text().splitlines()[0] == "label,f0,f1,f2,f3"
+        assert run(
+            "train", "--data", path, "--rounds", 1, "--epochs", 1, "--init-epochs", 1,
+            "--layers", "8,4", "--out", tmp_path / "r",
+        ) == 0
 
 
 class TestTrain:
@@ -185,11 +201,21 @@ class TestTrain:
         assert (out2 / "checkpoint.andc").read_bytes() == (run_dir / "checkpoint.andc").read_bytes()
         assert (out2 / "metrics.jsonl").read_bytes() == (run_dir / "metrics.jsonl").read_bytes()
 
+    def test_manifest_with_retired_false_key_reruns(self, run_dir, tmp_path):
+        # manifests written while TrainConfig had `force_singleton_neighbourhoods` hold it as false
+        manifest = json.loads((run_dir / "manifest.json").read_text())
+        manifest["config"]["force_singleton_neighbourhoods"] = False
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        out2 = tmp_path / "rerun"
+        assert run("train", "--manifest", tmp_path / "manifest.json", "--out", out2) == 0
+        assert (out2 / "checkpoint.andc").read_bytes() == (run_dir / "checkpoint.andc").read_bytes()
+        assert (out2 / "metrics.jsonl").read_bytes() == (run_dir / "metrics.jsonl").read_bytes()
+
     def test_init_none_skips_warmup(self, blob_file, tmp_path):
         out = tmp_path / "cold"
         assert run(
             "train", "--data", blob_file, "--rounds", 2, "--epochs", 2,
-            "--init", "none", "--layers", "24,8", "--out", out,
+            "--init-epochs", 0, "--layers", "24,8", "--out", out,
         ) == 0
         lines = (out / "metrics.jsonl").read_text().splitlines()
         assert len(lines) == 4  # no round-0 records at all
@@ -299,6 +325,21 @@ class TestInspect:
             ) == 0
             rows = capsys.readouterr().out.splitlines()[1:]
             assert sum(int(row.split(",")[3]) for row in rows) == expected
+
+    @pytest.mark.parametrize("mode", ["--one-off", "--instance-only"])
+    def test_selected_count_is_what_training_used(self, blob_file, tmp_path, capsys, mode):
+        out = tmp_path / "run"
+        assert run(
+            "train", "--data", blob_file, "--rounds", 4, "--epochs", 1, "--init-epochs", 1,
+            "--layers", "24,8", mode, "--out", out,
+        ) == 0
+        records = [json.loads(line) for line in (out / "metrics.jsonl").read_text().splitlines()]
+        fraction = {rec["round"]: rec["selected_fraction"] for rec in records}
+        for r in (1, 4):
+            capsys.readouterr()
+            assert run("inspect", "--checkpoint", out / "checkpoint.andc", "--round", r) == 0
+            rows = capsys.readouterr().out.splitlines()[1:]
+            assert sum(int(row.split(",")[3]) for row in rows) == 100 * fraction[r], (mode, r)
 
     def test_round_out_of_range_is_usage_error(self, run_dir):
         assert run(

@@ -30,47 +30,47 @@ class TestInitBank:
 class TestUpdateBatch:
     def test_hand_ema_value(self):
         # oracle: blend (0.6,0.8) with (1,0) at eta 0.5 -> (0.8,0.4) -> unit (2,1)/sqrt(5)
-        bank = FeatureBank(features=np.array([[0.6, 0.8], [0.0, 1.0]]), eta=0.5)
-        update_batch(bank, [0], np.array([[1.0, 0.0]]))
+        bank = FeatureBank(features=np.array([[0.6, 0.8], [0.0, 1.0]]))
+        update_batch(bank, [0], np.array([[1.0, 0.0]]), 0.5)
         expected = np.array([2.0, 1.0]) / np.sqrt(5.0)
         np.testing.assert_allclose(bank.features[0], expected, atol=1e-12)
         np.testing.assert_array_equal(bank.features[1], [0.0, 1.0])
 
     def test_eta_one_replaces_row(self):
-        bank = FeatureBank(features=np.array([[0.6, 0.8], [0.0, 1.0]]), eta=1.0)
-        update_batch(bank, [0], np.array([[1.0, 0.0]]))
+        bank = FeatureBank(features=np.array([[0.6, 0.8], [0.0, 1.0]]))
+        update_batch(bank, [0], np.array([[1.0, 0.0]]), 1.0)
         np.testing.assert_array_equal(bank.features[0], [1.0, 0.0])
 
     def test_fixed_point(self):
         bank = random_bank(5, 6, seed=21)
         before = bank.features.copy()
-        update_batch(bank, [2], before[[2]])
+        update_batch(bank, [2], before[[2]], 0.5)
         np.testing.assert_allclose(bank.features[2], before[2], atol=1e-12)
 
     def test_duplicate_indices_rejected(self):
         bank = random_bank(4, 4, seed=1)
         with pytest.raises(ContractError):
-            update_batch(bank, [1, 1], np.eye(4)[:2])
+            update_batch(bank, [1, 1], np.eye(4)[:2], 0.5)
 
     def test_out_of_range_rejected(self):
         bank = random_bank(4, 4, seed=1)
         with pytest.raises(IndexError):
-            update_batch(bank, [7], np.eye(4)[:1])
+            update_batch(bank, [7], np.eye(4)[:1], 0.5)
 
     def test_row_count_mismatch_rejected(self):
         bank = random_bank(4, 4, seed=1)
         with pytest.raises(ContractError):
-            update_batch(bank, [0, 1], np.eye(4)[:3])
+            update_batch(bank, [0, 1], np.eye(4)[:3], 0.5)
 
     def test_disjoint_updates_commute(self):
         fresh = SeededRng(8).normals((4, 6))
         fresh /= np.linalg.norm(fresh, axis=1, keepdims=True)
         a = random_bank(8, 6, seed=5)
         b = random_bank(8, 6, seed=5)
-        update_batch(a, [0, 1], fresh[:2])
-        update_batch(a, [4, 5], fresh[2:])
-        update_batch(b, [4, 5], fresh[2:])
-        update_batch(b, [0, 1], fresh[:2])
+        update_batch(a, [0, 1], fresh[:2], 0.5)
+        update_batch(a, [4, 5], fresh[2:], 0.5)
+        update_batch(b, [4, 5], fresh[2:], 0.5)
+        update_batch(b, [0, 1], fresh[:2], 0.5)
         np.testing.assert_array_equal(a.features, b.features)
 
     @given(st.integers(min_value=0, max_value=2**31))
@@ -81,7 +81,7 @@ class TestUpdateBatch:
         for _ in range(20):
             fresh = rng.normals((3, 4))
             fresh /= np.linalg.norm(fresh, axis=1, keepdims=True)
-            update_batch(bank, [0, 2, 5], fresh)
+            update_batch(bank, [0, 2, 5], fresh, 0.5)
         np.testing.assert_allclose(np.linalg.norm(bank.features, axis=1), 1.0, atol=1e-9)
 
 

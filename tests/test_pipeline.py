@@ -101,11 +101,6 @@ class TestPlanRound:
         np.testing.assert_array_equal(plan.selected, [False, True, False])
         assert plan.batch_members([2, 0, 1]).tolist() == [[2, 2], [0, 0], [1, 0]]
 
-    def test_singleton_plan_when_search_disabled(self):
-        bank = random_bank(5, 4, seed=7)
-        cfg = small_config(layer_sizes=(4, 4), force_singleton_neighbourhoods=True)
-        np.testing.assert_array_equal(plan_round(bank, cfg, 1).members, np.arange(5)[:, None])
-
     def test_recompute_identical(self):
         bank = random_bank(10, 4, seed=6)
         cfg = small_config(layer_sizes=(4, 4), rounds=3, k=2)
@@ -190,10 +185,15 @@ class TestTrain:
             _, _, records = train(ds.inputs, cfg)
             assert records[-1].mean_loss < records[0].mean_loss
 
-    def test_degeneration_equivalence(self):
+    def test_degeneration_equivalence(self, monkeypatch):
+        import andkit.pipeline as pipeline
+
         x = small_inputs()
-        and_run = train(x, small_config(rounds=3, force_singleton_neighbourhoods=True))
         inst_run = train(x, small_config(rounds=3, instance_only=True))
+        # k-NN search disabled: every anchor's neighbourhood is the singleton
+        search = pipeline.build_neighbourhoods
+        monkeypatch.setattr(pipeline, "build_neighbourhoods", lambda bank, k: search(bank, 0))
+        and_run = train(x, small_config(rounds=3))
         losses_and = np.array([r.mean_loss for r in and_run[2]])
         losses_inst = np.array([r.mean_loss for r in inst_run[2]])
         np.testing.assert_allclose(losses_and, losses_inst, atol=1e-12)
@@ -244,9 +244,11 @@ class TestTrain:
             lr_reset_per_round=lr_reset_per_round,
         )
         _, _, records = train(small_inputs(), cfg, monitor=lambda r, *_: monitored.append(r) or {})
-        # one-off plans once, at full selection; otherwise round r plans r
-        assert planned == ([3] if one_off else [1, 2, 3])
+        # one-off plans once, at round 1, and selects everyone; otherwise round r selects r / R
+        assert planned == ([1] if one_off else [1, 2, 3])
         assert monitored == [1, 2, 3]
+        fractions = {rec.round: rec.selected_fraction for rec in records if rec.round}
+        assert list(fractions.values()) == ([1.0] * 3 if one_off else [1 / 3, 2 / 3, 1.0])
         # the warm-up is the first phase; with a reset each phase restarts the schedule
         epochs = [0, 1, 2] + [0, 1] * 3 if lr_reset_per_round else list(range(9))
         assert scheduled == [(e, cfg.base_lr, cfg.epochs_per_round) for e in epochs]
@@ -292,9 +294,6 @@ class TestTrain:
         with pytest.raises(ConfigurationError, match="k must"):
             train(small_inputs(n=24), small_config(k=24))
         assert calls == []
-        # with k-NN search disabled the same k is never used, so the run goes ahead
-        train(small_inputs(n=24), small_config(k=24, force_singleton_neighbourhoods=True))
-        assert calls
 
 
 class TestCheckpoint:
@@ -344,6 +343,12 @@ class TestCheckpoint:
             path.write_bytes(bytes(blob))
             with pytest.raises(FormatError, match="invalid config"):
                 load_checkpoint(path)
+        # the u8 after the three flags (u32 x 6, i64 seed) is reserved and must stay 0
+        blob = bytearray(good)
+        blob[6 + 4 * 6 + 8 + 3] = 1
+        path.write_bytes(bytes(blob))
+        with pytest.raises(FormatError, match="reserved"):
+            load_checkpoint(path)
         blob = bytearray(good)
         struct.pack_into("<I", blob, 6 + 4 * 5, 1)  # an earlier round is in range
         path.write_bytes(bytes(blob))
