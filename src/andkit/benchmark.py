@@ -5,16 +5,11 @@ kNN on the training split plus plain kNN on a held-out split drawn from
 the same class centers (one generation call, split in half per class, so
 both splits share geometry).
 
-Two deliberate departures from the package defaults, both consequences of
-desk scale:
-
-* ``base_lr`` is 0.03 * batch_size. The batch objective reduces by the
-  mean, so matching a per-sample step size quoted for sum reduction means
-  scaling the rate by the batch size; with the stock 0.03 the curriculum
-  rounds barely move at this scale.
-* ``lr_reset_per_round`` is on, so every round anneals internally the way
-  a full-length round would. Under the global schedule a 20-epoch round
-  starts beyond the first decay boundary and learns nothing.
+One deliberate departure from the package defaults, a consequence of desk
+scale: ``base_lr`` is 0.03 * batch_size. The batch objective reduces by the
+mean, so matching a per-sample step size quoted for sum reduction means
+scaling the rate by the batch size; with the stock 0.03 the curriculum
+rounds barely move at this scale.
 """
 
 from __future__ import annotations
@@ -63,7 +58,6 @@ def benchmark_config(dim: int, seed: int, **overrides) -> TrainConfig:
         batch_size=BENCH_BATCH,
         base_lr=BENCH_LR,
         seed=seed,
-        lr_reset_per_round=True,
     )
     base.update(overrides)
     return TrainConfig(**base)

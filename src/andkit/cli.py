@@ -93,14 +93,19 @@ def _make_monitor(dataset: Dataset):
     return monitor
 
 
+# config keys TrainConfig no longer has, each with the value that means today's behaviour:
+# older manifests hold them, and rerun with the key dropped; any other value is refused
+_RETIRED_KEYS = {"force_singleton_neighbourhoods": False, "lr_reset_per_round": True}
+
+
 def cmd_train(args) -> int:
     if args.manifest:
         try:
             manifest = json.loads(Path(args.manifest).read_text())
             blob = manifest["config"]
-            # older manifests hold this removed field as false; a `true` stays and is refused
-            if isinstance(blob, dict) and blob.get("force_singleton_neighbourhoods") is False:
-                del blob["force_singleton_neighbourhoods"]
+            for key, kept in _RETIRED_KEYS.items():
+                if isinstance(blob, dict) and key in blob and blob.pop(key) is not kept:
+                    raise TypeError(f"retired config key {key!r} only accepts {kept}")
             config = TrainConfig(**blob)
             config.validate()
             data_path = Path(manifest["data"])  # a TypeError unless it is a path string
@@ -126,7 +131,6 @@ def cmd_train(args) -> int:
             eta=args.eta,
             k=args.k,
             seed=args.seed,
-            lr_reset_per_round=args.lr_reset_per_round,
             one_off=args.one_off,
             instance_only=args.instance_only,
         )
@@ -274,7 +278,8 @@ def build_parser() -> argparse.ArgumentParser:
     tr.add_argument(
         "--instance-only", action="store_true", help="baseline: never use neighbourhood terms"
     )
-    tr.add_argument("--lr-reset-per-round", action="store_true")
+    # retired: every round anneals from --lr; parsed and never read, as perfbench/run.py passes it
+    tr.add_argument("--lr-reset-per-round", action="store_true", help=argparse.SUPPRESS)
     tr.set_defaults(func=cmd_train)
 
     ev = sub.add_parser("eval", help="score a checkpoint on a labelled split")

@@ -17,10 +17,10 @@ Optimisation is SGD with Nesterov momentum, fixed update
     v <- mu * v - lr * g
     theta <- theta + mu * v - lr * g
 
-and a step schedule that holds the base learning rate for the first 40%
-of a 200-epoch reference round, then scales it by 0.1 every further 20%.
-When the configured epochs per round differ from 200 the boundaries scale
-proportionally.
+and a per-round step schedule: every round (the warm-up included) holds the
+base learning rate for the first 40% of a 200-epoch reference round, then
+scales it by 0.1 every further 20%. When the configured epochs per round
+differ from 200 the boundaries scale proportionally.
 """
 
 from __future__ import annotations
@@ -178,7 +178,7 @@ def sgd_nesterov_step(params: EncoderParams, grads: EncoderGrads, state: OptimSt
 
 
 def lr_at(epoch: int, base_lr: float, epochs_per_round: int = REFERENCE_EPOCHS) -> float:
-    """Learning rate at a (0-based) epoch under the scaled step schedule.
+    """Learning rate at a (0-based) epoch within a round under the scaled step schedule.
 
     With the 200-epoch reference round the rate holds for 80 epochs and is
     multiplied by 0.1 at epoch 80 and every 40 epochs after; shorter or

@@ -9,7 +9,7 @@ selected for neighbourhood supervision, and the exact top-k member array of
 every anchor is built (row i: anchor i first, then its k nearest rows). The
 plan stays fixed for the whole round while the bank keeps updating every
 batch. In `plan_round`, one-off selects as at round R and instance-only
-selects no anchor.
+selects no anchor. Every round, the warm-up included, anneals from `base_lr`.
 
 Training never sees labels: `train` accepts only the raw input matrix.
 Label-dependent diagnostics (neighbourhood consistency, kNN accuracy)
@@ -23,8 +23,8 @@ Checkpoint format (extension ``.andc``, all integers little-endian):
         rounds, epochs_per_round, init_epochs*, batch_size, k,
         final_round                                   each u32
         seed                                          i64
-        lr_reset_per_round, one_off, instance_only,
-        reserved (always 0; else a FormatError)       each u8
+        schedule (retired: written 1, either value read), one_off,
+        instance_only, reserved (always 0; else a FormatError)  each u8
         base_lr, momentum, tau, eta                   each f64
         (*) init_epochs stores 0xFFFFFFFF when unset
     layers   u32 count, then one u32 per layer size
@@ -62,7 +62,7 @@ from .numerics import SeededRng, derive_seed, stable_softmax
 _MAGIC = b"ANDC"
 _VERSION = 1
 _HEAD = struct.Struct("<4sH")
-_CONFIG = struct.Struct("<6Iq????dddd")  # "?": three flags and the reserved byte, u8 0/1
+_CONFIG = struct.Struct("<6Iq????dddd")  # "?": the four u8 0/1 config bytes
 _INIT_UNSET = 0xFFFFFFFF
 # Field order of the checkpoint config block; `_CONFIG` gives each one's type.
 _CONFIG_FIELDS = (
@@ -73,7 +73,7 @@ _CONFIG_FIELDS = (
     "k",
     "final_round",
     "seed",
-    "lr_reset_per_round",
+    "schedule",
     "one_off",
     "instance_only",
     "reserved",
@@ -110,7 +110,6 @@ class TrainConfig:
     eta: float = 0.5
     k: int = 1
     seed: int = 0
-    lr_reset_per_round: bool = False
     one_off: bool = False  # ablation: plan all anchors at round 1, never re-plan
     instance_only: bool = False  # baseline: every sample keeps its instance term
 
@@ -141,6 +140,8 @@ class TrainConfig:
             raise ConfigurationError(f"eta must lie in (0, 1], got {self.eta}")
         if self.k < 1:
             raise ConfigurationError(f"k must be >= 1, got {self.k}")
+        if self.one_off and self.instance_only:
+            raise ConfigurationError("one_off and instance_only exclude each other")
         if any(isinstance(s, bool) or not isinstance(s, numbers.Integral) for s in self.layer_sizes):
             raise ConfigurationError(f"layer_sizes must be integers, got {self.layer_sizes!r}")
         EncoderConfig(layer_sizes=self.layer_sizes)
@@ -254,7 +255,6 @@ def train(
     batch_size = min(config.batch_size, n)
 
     records: list[MetricsRecord] = []
-    epoch = 0
     # round 0 is the warm-up: it selects no anchor, so every sample trains on its instance term
     plan = RoundPlan(np.zeros(n), np.zeros(n, dtype=bool), np.arange(n)[:, None])
     for r in range(config.rounds + 1):
@@ -262,8 +262,7 @@ def train(
             plan = plan_round(bank, config, r)
         extra = dict(monitor(r, plan, bank, params)) if r and monitor is not None else {}
         for e in range(config.epochs_per_round if r else config.init_epochs_resolved):
-            schedule_epoch = e if config.lr_reset_per_round else epoch
-            opt.lr = lr_at(schedule_epoch, config.base_lr, config.epochs_per_round)
+            opt.lr = lr_at(e, config.base_lr, config.epochs_per_round)
             loss_sum = 0.0
             for batch in make_batches(n, batch_size, batch_rng):
                 try:
@@ -277,13 +276,12 @@ def train(
             records.append(
                 MetricsRecord(
                     round=r,
-                    epoch=epoch,
+                    epoch=len(records),
                     mean_loss=loss_sum / n,
                     selected_fraction=float(plan.selected.mean()),
                     **extra,
                 )
             )
-            epoch += 1
     return params, bank, records
 
 
@@ -309,6 +307,7 @@ def save_checkpoint(
     fields = asdict(config) | {
         "final_round": config.rounds if final_round is None else final_round,
         "init_epochs": _INIT_UNSET if config.init_epochs is None else config.init_epochs,
+        "schedule": True,  # retired: the per-round schedule runs whatever this byte holds
         "reserved": False,
     }
     with open(path, "wb") as fh:
@@ -363,6 +362,7 @@ def load_checkpoint(path) -> Checkpoint:
     if not all(np.isfinite(a).all() for a in (*weights, *biases, features)):
         raise FormatError(f"{path}: non-finite weight, bias or bank value")
     final_round = fields.pop("final_round")
+    fields.pop("schedule")  # retired; files from either schedule load into the one that remains
     if fields.pop("reserved"):
         raise FormatError(f"{path}: reserved config byte is not 0")
     if fields["init_epochs"] == _INIT_UNSET:

@@ -91,6 +91,11 @@ class TestGenerate:
             code = run("train", "--data", blob_file, flag, value, "--out", tmp_path / "r")
             assert code == 2, (flag, value)
             assert not (tmp_path / "r").exists()
+        code = run(
+            "train", "--data", blob_file, "--one-off", "--instance-only", "--out", tmp_path / "r"
+        )
+        assert code == 2
+        assert not (tmp_path / "r").exists()
         # removed flags: `--init-epochs 0` skips the warm-up, the --out extension picks the format
         for argv in (
             ("train", "--data", blob_file, "--init", "none", "--out", tmp_path / "r"),
@@ -127,6 +132,9 @@ class TestGenerate:
             },
             "singleton-hook.json": {
                 **good, "config": {**good["config"], "force_singleton_neighbourhoods": True}
+            },
+            "global-schedule.json": {
+                **good, "config": {**good["config"], "lr_reset_per_round": False}
             },
         }
         for name, blob in malformed.items():
@@ -202,14 +210,29 @@ class TestTrain:
         assert (out2 / "metrics.jsonl").read_bytes() == (run_dir / "metrics.jsonl").read_bytes()
 
     def test_manifest_with_retired_false_key_reruns(self, run_dir, tmp_path):
-        # manifests written while TrainConfig had `force_singleton_neighbourhoods` hold it as false
+        # older manifests hold retired keys at the value that survives: the singleton hook off,
+        # and the per-round schedule on (`lr_reset_per_round`)
         manifest = json.loads((run_dir / "manifest.json").read_text())
         manifest["config"]["force_singleton_neighbourhoods"] = False
+        manifest["config"]["lr_reset_per_round"] = True
         (tmp_path / "manifest.json").write_text(json.dumps(manifest))
         out2 = tmp_path / "rerun"
         assert run("train", "--manifest", tmp_path / "manifest.json", "--out", out2) == 0
         assert (out2 / "checkpoint.andc").read_bytes() == (run_dir / "checkpoint.andc").read_bytes()
         assert (out2 / "metrics.jsonl").read_bytes() == (run_dir / "metrics.jsonl").read_bytes()
+
+    def test_retired_lr_reset_flag_changes_nothing(self, run_dir, blob_file, tmp_path, capsys):
+        out = tmp_path / "flagged"
+        assert run(
+            "train", "--data", blob_file, "--rounds", 4, "--epochs", 3,
+            "--init-epochs", 3, "--layers", "24,8", "--seed", 1, "--out", out,
+            "--lr-reset-per-round",
+        ) == 0
+        assert (out / "checkpoint.andc").read_bytes() == (run_dir / "checkpoint.andc").read_bytes()
+        assert (out / "metrics.jsonl").read_bytes() == (run_dir / "metrics.jsonl").read_bytes()
+        with pytest.raises(SystemExit):
+            run("train", "--help")
+        assert "--lr-reset-per-round" not in capsys.readouterr().out
 
     def test_init_none_skips_warmup(self, blob_file, tmp_path):
         out = tmp_path / "cold"
@@ -261,6 +284,40 @@ class TestEval:
             "eval", "--checkpoint", run_dir / "checkpoint.andc", "--data", plain
         ) == 1
         assert "labelled" in capsys.readouterr().err
+
+    def test_held_out_split_scores_against_bank_data(self, blob_file, tmp_path, capsys):
+        from andkit.benchmark import make_benchmark_splits
+        from andkit.data import Dataset, load_dataset, save_dataset
+        from andkit.evaluation import knn_accuracy
+        from andkit.pipeline import load_checkpoint
+
+        # both halves of one generation, so the test split shares the bank's class centres
+        train_path, test_path = tmp_path / "train.ands", tmp_path / "test.ands"
+        splits = make_benchmark_splits(4, 20, dim=16, seed=5)
+        for split, path in zip(splits, (train_path, test_path)):
+            save_dataset(split, path)
+        ckpt_path = tmp_path / "run" / "checkpoint.andc"
+        assert run(
+            "train", "--data", train_path, "--rounds", 2, "--epochs", 2, "--layers", "24,8",
+            "--seed", 1, "--out", ckpt_path.parent,
+        ) == 0
+        capsys.readouterr()
+        assert run(
+            "eval", "--checkpoint", ckpt_path, "--data", test_path, "--bank-data", train_path
+        ) == 0
+        report = json.loads(capsys.readouterr().out)
+        train_split, test_split = load_dataset(train_path), load_dataset(test_path)
+        ckpt = load_checkpoint(ckpt_path)
+        assert report["knn_accuracy"] == knn_accuracy(
+            test_split, ckpt.params, ckpt.bank, train_split.labels
+        )
+        # the bank split must be labelled and be the one the bank was trained on (80 rows)
+        save_dataset(Dataset(inputs=train_split.inputs), tmp_path / "plain.ands")
+        for bank_data, message in ((tmp_path / "plain.ands", "labelled"), (blob_file, "100")):
+            assert run(
+                "eval", "--checkpoint", ckpt_path, "--data", test_path, "--bank-data", bank_data
+            ) == 1
+            assert message in capsys.readouterr().err
 
     def test_non_finite_checkpoint_values_rejected(self, run_dir, blob_file, tmp_path, capsys):
         from andkit.pipeline import load_checkpoint

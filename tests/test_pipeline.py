@@ -229,8 +229,7 @@ class TestTrain:
         assert all(r.consistent_count is None for r in records if r.round == 0)
 
     @pytest.mark.parametrize("one_off", [False, True])
-    @pytest.mark.parametrize("lr_reset_per_round", [False, True])
-    def test_round_plans_and_schedule_epochs(self, monkeypatch, one_off, lr_reset_per_round):
+    def test_round_plans_and_schedule_epochs(self, monkeypatch, one_off):
         import andkit.pipeline as pipeline
 
         planned, scheduled, monitored = [], [], []
@@ -239,18 +238,15 @@ class TestTrain:
             pipeline, "plan_round", lambda bank, cfg, r: planned.append(r) or real_plan(bank, cfg, r)
         )
         monkeypatch.setattr(pipeline, "lr_at", lambda *a: scheduled.append(a) or real_lr(*a))
-        cfg = small_config(
-            rounds=3, epochs_per_round=2, init_epochs=3, one_off=one_off,
-            lr_reset_per_round=lr_reset_per_round,
-        )
+        cfg = small_config(rounds=3, epochs_per_round=2, init_epochs=3, one_off=one_off)
         _, _, records = train(small_inputs(), cfg, monitor=lambda r, *_: monitored.append(r) or {})
         # one-off plans once, at round 1, and selects everyone; otherwise round r selects r / R
         assert planned == ([1] if one_off else [1, 2, 3])
         assert monitored == [1, 2, 3]
         fractions = {rec.round: rec.selected_fraction for rec in records if rec.round}
         assert list(fractions.values()) == ([1.0] * 3 if one_off else [1 / 3, 2 / 3, 1.0])
-        # the warm-up is the first phase; with a reset each phase restarts the schedule
-        epochs = [0, 1, 2] + [0, 1] * 3 if lr_reset_per_round else list(range(9))
+        # every round, the warm-up (round 0) included, restarts the schedule
+        epochs = [0, 1, 2] + [0, 1] * 3
         assert scheduled == [(e, cfg.base_lr, cfg.epochs_per_round) for e in epochs]
         assert [rec.round for rec in records] == [0, 0, 0, 1, 1, 2, 2, 3, 3]
         assert [rec.epoch for rec in records] == list(range(9))
@@ -278,7 +274,7 @@ class TestTrain:
         # wrong-typed values, as a hand-edited manifest can carry, are rejected like bad ranges
         for override in (
             {"rounds": 0}, {"rounds": "4"}, {"seed": "1"}, {"k": True}, {"init_epochs": 2.5},
-            {"base_lr": "0.1"}, {"one_off": 1},
+            {"base_lr": "0.1"}, {"one_off": 1}, {"one_off": True, "instance_only": True},
             {"layer_sizes": (8.9, 10, 4)}, {"layer_sizes": ("8", "10", "4")},
             {"layer_sizes": (8, True, 4)},
         ):
@@ -349,7 +345,23 @@ class TestCheckpoint:
         path.write_bytes(bytes(blob))
         with pytest.raises(FormatError, match="reserved"):
             load_checkpoint(path)
+        # one_off and instance_only (the u8s after the schedule byte) exclude each other
+        blob = bytearray(good)
+        blob[6 + 4 * 6 + 8 + 1:6 + 4 * 6 + 8 + 3] = b"\x01\x01"
+        path.write_bytes(bytes(blob))
+        with pytest.raises(FormatError, match="invalid config"):
+            load_checkpoint(path)
         blob = bytearray(good)
         struct.pack_into("<I", blob, 6 + 4 * 5, 1)  # an earlier round is in range
         path.write_bytes(bytes(blob))
         assert load_checkpoint(path).final_round == 1
+
+    def test_retired_schedule_byte_loads_either_value(self, tmp_path):
+        # the u8 after the seed (u32 x 6, i64) chose the global (0) or per-round (1) schedule;
+        # only the per-round one remains, so files written under either load the same config
+        _, _, cfg, path, back = self.roundtrip(tmp_path)
+        blob = bytearray(path.read_bytes())
+        assert blob[6 + 4 * 6 + 8] == 1
+        blob[6 + 4 * 6 + 8] = 0
+        path.write_bytes(bytes(blob))
+        assert load_checkpoint(path).config == back.config == cfg
