@@ -24,24 +24,18 @@ from .evaluation import knn_accuracy
 from .pipeline import TrainConfig, train
 
 BENCH_LR = 0.03 * 128  # per-sample step of 0.03, rescaled for mean reduction
-BENCH_BATCH = 128
-BENCH_EPOCHS = 20
-BENCH_ROUNDS = 4
 
 
 def make_benchmark_splits(
-    classes: int,
-    per_class_half: int,
-    dim: int = 32,
-    noise_sigma: float = 1.0,
-    center_scale: float = 5.0,
-    seed: int = 0,
+    classes: int, per_class_half: int, dim: int = 32, **spec
 ) -> tuple[Dataset, Dataset]:
-    """One blob generation split per class into equal train/test halves."""
+    """One blob generation split per class into equal train/test halves.
+
+    `spec` holds any further `BlobSpec` fields (`noise_sigma`, `center_scale`,
+    `seed`); the ones left out keep `BlobSpec`'s defaults.
+    """
     per_class = 2 * per_class_half
-    ds = generate_blobs(
-        BlobSpec(classes, per_class, dim, center_scale=center_scale, noise_sigma=noise_sigma, seed=seed)
-    )
+    ds = generate_blobs(BlobSpec(classes, per_class, dim, **spec))
     first_half = np.arange(ds.n) % per_class < per_class_half  # rows are class-major
     return (
         Dataset(inputs=ds.inputs[first_half], labels=ds.labels[first_half]),
@@ -50,17 +44,8 @@ def make_benchmark_splits(
 
 
 def benchmark_config(dim: int, seed: int, **overrides) -> TrainConfig:
-    base = dict(
-        layer_sizes=(dim, 64, 16),
-        rounds=BENCH_ROUNDS,
-        epochs_per_round=BENCH_EPOCHS,
-        init_epochs=BENCH_EPOCHS,
-        batch_size=BENCH_BATCH,
-        base_lr=BENCH_LR,
-        seed=seed,
-    )
-    base.update(overrides)
-    return TrainConfig(**base)
+    """`TrainConfig` defaults at `base_lr=BENCH_LR`, plus any `overrides`."""
+    return TrainConfig(**dict(layer_sizes=(dim, 64, 16), base_lr=BENCH_LR, seed=seed) | overrides)
 
 
 @dataclass

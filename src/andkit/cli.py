@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import inspect
 import json
 import math
 import sys
@@ -51,6 +52,16 @@ def _parse_layers(text: str) -> tuple[int, ...]:
         raise ConfigurationError(f"--layers expects comma-separated integers, got {text!r}") from None
 
 
+def _given(target, args) -> dict:
+    """The parameters of `target` (a dataclass or function) set on the command line.
+
+    Their flags default to `argparse.SUPPRESS`, so a flag left out is absent from `args`
+    and its parameter keeps the default that `target` declares, its only one.
+    """
+    names = inspect.signature(target).parameters
+    return {name: getattr(args, name) for name in names if hasattr(args, name)}
+
+
 def _emit(text: str, out) -> None:
     """Write a command's text output to the file `out`, or to stdout when it is not given."""
     if out:
@@ -60,18 +71,9 @@ def _emit(text: str, out) -> None:
 
 
 def cmd_generate(args) -> int:
-    dataset = generate_blobs(
-        BlobSpec(
-            num_classes=args.classes,
-            per_class=args.per_class,
-            dim=args.dim,
-            center_scale=args.center_scale,
-            noise_sigma=args.noise_sigma,
-            seed=args.seed,
-        )
-    )
+    dataset = generate_blobs(BlobSpec(**_given(BlobSpec, args)))
     save_dataset(dataset, args.out)
-    print(f"wrote {dataset.n} samples ({dataset.dim} dims, {args.classes} classes) to {args.out}")
+    print(f"wrote {dataset.n} samples ({dataset.dim} dims, {args.num_classes} classes) to {args.out}")
     return 0
 
 
@@ -119,21 +121,8 @@ def cmd_train(args) -> int:
         data_path = args.data
         out_dir = Path(args.out)
         dataset = load_dataset(data_path)
-        config = TrainConfig(
-            layer_sizes=(dataset.dim,) + _parse_layers(args.layers),
-            rounds=args.rounds,
-            epochs_per_round=args.epochs,
-            init_epochs=args.init_epochs,
-            batch_size=args.batch_size,
-            base_lr=args.lr,
-            momentum=args.momentum,
-            tau=args.tau,
-            eta=args.eta,
-            k=args.k,
-            seed=args.seed,
-            one_off=args.one_off,
-            instance_only=args.instance_only,
-        )
+        layers = (dataset.dim,) + _parse_layers(args.layers)
+        config = TrainConfig(layer_sizes=layers, **_given(TrainConfig, args))
 
     monitor = _make_monitor(dataset) if dataset.labels is not None else None
     params, bank, records = train(dataset.inputs, config, monitor=monitor)
@@ -183,9 +172,7 @@ def cmd_eval(args) -> int:
     )
     linear_acc = None
     if args.probe:
-        linear_acc = linear_probe(
-            bank_split, split, ckpt.params, epochs=args.probe_epochs, lr=args.probe_lr
-        )
+        linear_acc = linear_probe(bank_split, split, ckpt.params, **_given(linear_probe, args))
     consistent, inconsistent = neighbourhood_consistency(
         build_neighbourhoods(ckpt.bank, ckpt.config.k), bank_split.labels
     )
@@ -232,8 +219,9 @@ def cmd_curve(args) -> int:
         try:
             row = json.loads(line)
             MetricsRecord(**row)  # a TypeError unless the line holds exactly a record's fields
-            if not isinstance(row["round"], int):
-                raise TypeError(f"round must be an integer, got {row['round']!r}")
+            counts = {type(row["consistent_count"]), type(row["inconsistent_count"])}
+            if type(row["round"]) is not int or counts not in ({int}, {type(None)}):
+                raise TypeError("round must be an integer, the counts both integers or both null")
         except (ValueError, TypeError) as err:
             raise ParseError(f"{args.metrics}: line {lineno}: bad metrics record: {err}") from None
         rows.append(row)
@@ -249,30 +237,31 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"andkit {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    gen = sub.add_parser("generate", help="write a synthetic blob dataset")
-    gen.add_argument("--classes", type=int, required=True)
+    given_only = {"argument_default": argparse.SUPPRESS}  # a flag left out: see `_given`
+    gen = sub.add_parser("generate", help="write a synthetic blob dataset", **given_only)
+    gen.add_argument("--classes", dest="num_classes", type=int, required=True)
     gen.add_argument("--per-class", type=int, required=True)
     gen.add_argument("--dim", type=int, required=True)
-    gen.add_argument("--center-scale", type=float, default=5.0)
-    gen.add_argument("--noise-sigma", type=float, default=1.0)
-    gen.add_argument("--seed", type=int, default=0)
+    gen.add_argument("--center-scale", type=float)
+    gen.add_argument("--noise-sigma", type=float)
+    gen.add_argument("--seed", type=int)
     gen.add_argument("--out", required=True, help="CSV for a .csv path, else binary .ands")
     gen.set_defaults(func=cmd_generate)
 
-    tr = sub.add_parser("train", help="run the curriculum trainer")
-    tr.add_argument("--data", help="dataset path (.ands binary or .csv)")
-    tr.add_argument("--out", help="output directory")
-    tr.add_argument("--manifest", help="re-run the exact configuration of a prior manifest")
-    tr.add_argument("--rounds", type=int, default=4)
-    tr.add_argument("--epochs", type=int, default=20, help="epochs per round")
+    tr = sub.add_parser("train", help="run the curriculum trainer", **given_only)
+    tr.add_argument("--data", default=None, help="dataset path (.ands binary or .csv)")
+    tr.add_argument("--out", default=None, help="output directory")
+    tr.add_argument("--manifest", default=None, help="rerun a prior manifest's exact configuration")
+    tr.add_argument("--rounds", type=int)
+    tr.add_argument("--epochs", dest="epochs_per_round", type=int, help="epochs per round")
     tr.add_argument("--init-epochs", type=int, help="0 skips the warm-up (default: --epochs)")
-    tr.add_argument("--batch-size", type=int, default=128)
-    tr.add_argument("--lr", type=float, default=0.03)
-    tr.add_argument("--momentum", type=float, default=0.9)
-    tr.add_argument("--tau", type=float, default=0.07)
-    tr.add_argument("--eta", type=float, default=0.5)
-    tr.add_argument("--k", type=int, default=1)
-    tr.add_argument("--seed", type=int, default=0)
+    tr.add_argument("--batch-size", type=int)
+    tr.add_argument("--lr", dest="base_lr", type=float)
+    tr.add_argument("--momentum", type=float)
+    tr.add_argument("--tau", type=float)
+    tr.add_argument("--eta", type=float)
+    tr.add_argument("--k", type=int)
+    tr.add_argument("--seed", type=int)
     tr.add_argument("--layers", default="64,16", help="hidden and output sizes after the input dim")
     tr.add_argument("--one-off", action="store_true", help="plan all anchors once, no curriculum")
     tr.add_argument(
@@ -282,19 +271,20 @@ def build_parser() -> argparse.ArgumentParser:
     tr.add_argument("--lr-reset-per-round", action="store_true", help=argparse.SUPPRESS)
     tr.set_defaults(func=cmd_train)
 
-    ev = sub.add_parser("eval", help="score a checkpoint on a labelled split")
+    ev = sub.add_parser("eval", help="score a checkpoint on a labelled split", **given_only)
     ev.add_argument("--checkpoint", required=True)
     ev.add_argument("--data", required=True, help="labelled split to score")
     ev.add_argument(
         "--bank-data",
+        default=None,
         help="labelled training split backing the memory bank; omit when --data is it",
     )
     ev.add_argument("--knn-k", type=int, default=DEFAULT_K_EVAL)
     ev.add_argument("--tau", type=float, default=DEFAULT_EVAL_TAU)
-    ev.add_argument("--probe", action="store_true", help="also train a linear probe")
-    ev.add_argument("--probe-epochs", type=int, default=200)
-    ev.add_argument("--probe-lr", type=float, default=0.5)
-    ev.add_argument("--out", help="write the JSON report here instead of stdout")
+    ev.add_argument("--probe", action="store_true", default=False, help="also train a linear probe")
+    ev.add_argument("--probe-epochs", dest="epochs", type=int)
+    ev.add_argument("--probe-lr", dest="lr", type=float)
+    ev.add_argument("--out", default=None, help="write the JSON report here instead of stdout")
     ev.set_defaults(func=cmd_eval)
 
     ins = sub.add_parser("inspect", help="dump per-anchor curriculum state as CSV")

@@ -145,15 +145,15 @@ def backward(params: EncoderParams, cache: ForwardCache, grad_wrt_features) -> E
 
 @dataclass
 class OptimState:
-    """Momentum buffers plus the scalar knobs of the optimiser."""
+    """Momentum buffers plus the optimiser's scalar knobs, which `train` sets from its config."""
 
     vel_weights: list[np.ndarray]
     vel_biases: list[np.ndarray]
     lr: float
-    momentum: float = 0.9
+    momentum: float
 
     @classmethod
-    def init_like(cls, params: EncoderParams, lr: float, momentum: float = 0.9) -> "OptimState":
+    def init_like(cls, params: EncoderParams, lr: float, momentum: float) -> "OptimState":
         return cls(
             vel_weights=[np.zeros_like(w) for w in params.weights],
             vel_biases=[np.zeros_like(b) for b in params.biases],

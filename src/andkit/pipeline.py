@@ -63,7 +63,7 @@ _MAGIC = b"ANDC"
 _VERSION = 1
 _HEAD = struct.Struct("<4sH")
 _CONFIG = struct.Struct("<6Iq????dddd")  # "?": the four u8 0/1 config bytes
-_INIT_UNSET = 0xFFFFFFFF
+_U32_MAX = 0xFFFFFFFF  # also the stored init_epochs that means None
 # Field order of the checkpoint config block; `_CONFIG` gives each one's type.
 _CONFIG_FIELDS = (
     "rounds",
@@ -97,11 +97,15 @@ MonitorFn = Callable[[int, "RoundPlan", FeatureBank, EncoderParams], dict]
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Full recipe for one training run; every knob is seed-determined."""
+    """Full recipe for one training run; every knob is seed-determined.
+
+    The one home of the training defaults: the CLI passes only the flags given,
+    and `andkit.benchmark` departs from them only in `base_lr`.
+    """
 
     layer_sizes: tuple[int, ...]
     rounds: int = 4
-    epochs_per_round: int = 200
+    epochs_per_round: int = 20
     init_epochs: int | None = None  # None means "same as epochs_per_round"
     batch_size: int = 128
     base_lr: float = 0.03
@@ -144,6 +148,14 @@ class TrainConfig:
             raise ConfigurationError("one_off and instance_only exclude each other")
         if any(isinstance(s, bool) or not isinstance(s, numbers.Integral) for s in self.layer_sizes):
             raise ConfigurationError(f"layer_sizes must be integers, got {self.layer_sizes!r}")
+        # checkpoint v1 stores the counts and layer sizes as u32 and the seed as i64
+        u32 = (self.rounds, self.epochs_per_round, self.batch_size, self.k, *self.layer_sizes)
+        if max(u32) > _U32_MAX or (self.init_epochs or 0) >= _U32_MAX:
+            raise ConfigurationError(
+                f"counts and layer sizes must be <= {_U32_MAX} (init_epochs < {_U32_MAX})"
+            )
+        if not -(2**63) <= self.seed < 2**63:
+            raise ConfigurationError(f"seed must fit in a signed 64-bit integer, got {self.seed}")
         EncoderConfig(layer_sizes=self.layer_sizes)
         if n is not None and n < 2:
             raise ConfigurationError(f"need at least 2 samples, got {n}")
@@ -306,7 +318,7 @@ def save_checkpoint(
         raise ContractError(f"config layers {config.layer_sizes} != params layers {sizes}")
     fields = asdict(config) | {
         "final_round": config.rounds if final_round is None else final_round,
-        "init_epochs": _INIT_UNSET if config.init_epochs is None else config.init_epochs,
+        "init_epochs": _U32_MAX if config.init_epochs is None else config.init_epochs,
         "schedule": True,  # retired: the per-round schedule runs whatever this byte holds
         "reserved": False,
     }
@@ -365,7 +377,7 @@ def load_checkpoint(path) -> Checkpoint:
     fields.pop("schedule")  # retired; files from either schedule load into the one that remains
     if fields.pop("reserved"):
         raise FormatError(f"{path}: reserved config byte is not 0")
-    if fields["init_epochs"] == _INIT_UNSET:
+    if fields["init_epochs"] == _U32_MAX:
         fields["init_epochs"] = None
     config = TrainConfig(layer_sizes=sizes, **fields)
     try:

@@ -87,6 +87,9 @@ class TestGenerate:
         for flag, value in (
             ("--momentum", -1), ("--momentum", "nan"), ("--lr", "inf"), ("--tau", "inf"),
             ("--layers", "24,1"),
+            # refused before training: checkpoint v1 could not store them
+            ("--batch-size", 99999999999), ("--seed", 99999999999999999999),
+            ("--seed", -(2**63) - 1),
         ):
             code = run("train", "--data", blob_file, flag, value, "--out", tmp_path / "r")
             assert code == 2, (flag, value)
@@ -153,6 +156,15 @@ class TestGenerate:
             )
             assert code == 2, args
 
+    def test_defaults_are_blob_spec_defaults(self, tmp_path):
+        from andkit.data import BlobSpec, generate_blobs, save_dataset
+
+        assert run(
+            "generate", "--classes", 3, "--per-class", 4, "--dim", 5, "--out", tmp_path / "a.ands"
+        ) == 0
+        save_dataset(generate_blobs(BlobSpec(3, 4, 5)), tmp_path / "b.ands")
+        assert (tmp_path / "a.ands").read_bytes() == (tmp_path / "b.ands").read_bytes()
+
     def test_deterministic_bytes(self, tmp_path):
         a, b = tmp_path / "a.ands", tmp_path / "b.ands"
         for path in (a, b):
@@ -190,6 +202,16 @@ class TestTrain:
             "train", "--data", blob_file, "--rounds", 0, "--out", tmp_path / "r",
         )
         assert code == 2
+
+    def test_defaults_are_train_config_defaults(self, blob_file, tmp_path):
+        import dataclasses
+
+        from andkit.pipeline import TrainConfig
+
+        assert run("train", "--data", blob_file, "--out", tmp_path / "r") == 0
+        config = json.loads((tmp_path / "r" / "manifest.json").read_text())["config"]
+        config["layer_sizes"] = tuple(config["layer_sizes"])
+        assert config == dataclasses.asdict(TrainConfig(layer_sizes=(16, 64, 16)))
 
     def test_dataset_read_once(self, blob_file, tmp_path, monkeypatch):
         import andkit.cli as cli
@@ -268,12 +290,19 @@ class TestEval:
         assert 0.0 <= json.loads(capsys.readouterr().out)["knn_accuracy"] <= 1.0
 
     def test_probe_adds_linear_accuracy(self, run_dir, blob_file, capsys):
-        assert run(
-            "eval", "--checkpoint", run_dir / "checkpoint.andc", "--data", blob_file,
-            "--probe", "--probe-epochs", 50,
-        ) == 0
-        report = json.loads(capsys.readouterr().out)
-        assert report["linear_accuracy"] is not None
+        from andkit.data import load_dataset
+        from andkit.evaluation import linear_probe
+        from andkit.pipeline import load_checkpoint
+
+        ds, ckpt = load_dataset(blob_file), load_checkpoint(run_dir / "checkpoint.andc")
+        # probe flags left out: linear_probe's own defaults
+        for flags, kwargs in ((("--probe-epochs", 50), {"epochs": 50}), ((), {})):
+            assert run(
+                "eval", "--checkpoint", run_dir / "checkpoint.andc", "--data", blob_file,
+                "--probe", *flags,
+            ) == 0
+            report = json.loads(capsys.readouterr().out)
+            assert report["linear_accuracy"] == linear_probe(ds, ds, ckpt.params, **kwargs)
 
     def test_unlabelled_dataset_fails_with_message(self, run_dir, tmp_path, capsys):
         from andkit.data import Dataset, save_bin
@@ -353,7 +382,13 @@ class TestCurve:
         good = (run_dir / "metrics.jsonl").read_text()
         path = tmp_path / "metrics.jsonl"
         lineno = len(good.splitlines()) + 1
-        for bad in ('{"round": 1', "[1, 2]", '{"epoch": 1}'):
+        record = json.loads(good.splitlines()[-1])
+        for bad in (
+            '{"round": 1', "[1, 2]", '{"epoch": 1}',
+            json.dumps({**record, "round": True}),
+            json.dumps({**record, "consistent_count": "x", "inconsistent_count": None}),
+            json.dumps({**record, "consistent_count": 3, "inconsistent_count": None}),
+        ):
             path.write_text(good + bad + "\n")
             capsys.readouterr()
             assert run("curve", "--metrics", path, "--out", tmp_path / "curve.csv") == 1, bad

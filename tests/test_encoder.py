@@ -193,7 +193,7 @@ class TestSgdNesterov:
             "G", (), {"weights": [np.array([[np.nan]])], "biases": [np.array([0.0])]}
         )()
         with pytest.raises(NumericError):
-            sgd_nesterov_step(params, grads, OptimState.init_like(params, lr=0.1))
+            sgd_nesterov_step(params, grads, OptimState.init_like(params, lr=0.1, momentum=0.9))
         assert params.weights[0][0, 0] == 1.0 and params.biases[0][0] == 2.0
 
 
