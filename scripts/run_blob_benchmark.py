@@ -14,13 +14,15 @@ def main():
     parser.add_argument("--seeds", type=int, nargs="+", default=[0, 1, 2])
     parser.add_argument("--classes", type=int, default=4)
     parser.add_argument("--per-class-half", type=int, default=100)
-    parser.add_argument("--noise-sigma", type=float, default=1.0)
+    # left out, the blobs keep BlobSpec's noise_sigma
+    parser.add_argument("--noise-sigma", type=float, default=argparse.SUPPRESS)
     args = parser.parse_args()
+    spec = {"noise_sigma": args.noise_sigma} if "noise_sigma" in args else {}
 
     print(f"{'seed':>4}  {'mode':<9} {'train-LOO':>9} {'test':>6}  consistent/round")
     for seed in args.seeds:
         train_split, test_split = make_benchmark_splits(
-            args.classes, args.per_class_half, noise_sigma=args.noise_sigma, seed=100 + seed
+            args.classes, args.per_class_half, seed=100 + seed, **spec
         )
         for mode, overrides in (("curriculum", {}), ("baseline", {"instance_only": True})):
             cfg = benchmark_config(train_split.dim, seed, **overrides)

@@ -11,7 +11,7 @@ __version__ = "0.1.0"
 
 from .affinity import build_neighbourhoods, entropy, prob_row, top_k
 from .data import BlobSpec, Dataset, generate_blobs, load_dataset, make_batches
-from .encoder import EncoderConfig, EncoderParams, OptimState, forward, init_params, lr_at
+from .encoder import EncoderConfig, EncoderParams, forward, init_params, lr_at
 from .errors import AndkitError
 from .evaluation import EvalReport, knn_accuracy, linear_probe, neighbourhood_consistency
 from .losses import LossGrad, instance_term, neighbourhood_term, round_batch_loss
@@ -40,7 +40,6 @@ __all__ = [
     "FeatureBank",
     "LossGrad",
     "MetricsRecord",
-    "OptimState",
     "RoundPlan",
     "SeededRng",
     "TrainConfig",

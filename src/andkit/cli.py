@@ -25,7 +25,6 @@ from .data import BlobSpec, Dataset, generate_blobs, load_dataset, read_lines, s
 from .errors import AndkitError, ConfigurationError, ContractError, ParseError
 from .evaluation import (
     DEFAULT_EVAL_TAU,
-    DEFAULT_K_EVAL,
     EvalReport,
     consistency_curve_csv,
     consistent_rows,
@@ -80,12 +79,11 @@ def cmd_generate(args) -> int:
 def _make_monitor(dataset: Dataset):
     """The one round monitor (train and the blob benchmark); labels never reach training."""
     labels = dataset.labels
-    k_eval = min(DEFAULT_K_EVAL, dataset.n - 1)
 
     def monitor(r, plan, bank, params):
         consistent, inconsistent = neighbourhood_consistency(plan.members[plan.selected], labels)
         feats, _ = forward(params, dataset.inputs)
-        preds = knn_predict_batch(feats, bank, labels, k_eval, DEFAULT_EVAL_TAU, leave_one_out=True)
+        preds = knn_predict_batch(feats, bank, labels, leave_one_out=True)
         return {
             "consistent_count": consistent,
             "inconsistent_count": inconsistent,
@@ -102,6 +100,10 @@ _RETIRED_KEYS = {"force_singleton_neighbourhoods": False, "lr_reset_per_round": 
 
 def cmd_train(args) -> int:
     if args.manifest:
+        named = ("data", "layers", *_given(TrainConfig, args))
+        given = [args.flags[name] for name in named if getattr(args, name, None) is not None]
+        if given:
+            raise ConfigurationError(f"--manifest takes no config flags: {', '.join(given)}")
         try:
             manifest = json.loads(Path(args.manifest).read_text())
             blob = manifest["config"]
@@ -121,7 +123,7 @@ def cmd_train(args) -> int:
         data_path = args.data
         out_dir = Path(args.out)
         dataset = load_dataset(data_path)
-        layers = (dataset.dim,) + _parse_layers(args.layers)
+        layers = (dataset.dim,) + _parse_layers(getattr(args, "layers", "64,16"))
         config = TrainConfig(layer_sizes=layers, **_given(TrainConfig, args))
 
     monitor = _make_monitor(dataset) if dataset.labels is not None else None
@@ -168,7 +170,8 @@ def cmd_eval(args) -> int:
 
     feats, _ = forward(ckpt.params, split.inputs)
     preds = knn_predict_batch(
-        feats, ckpt.bank, bank_split.labels, args.knn_k, args.tau, leave_one_out
+        feats, ckpt.bank, bank_split.labels, leave_one_out=leave_one_out,
+        **_given(knn_predict_batch, args),
     )
     linear_acc = None
     if args.probe:
@@ -262,14 +265,15 @@ def build_parser() -> argparse.ArgumentParser:
     tr.add_argument("--eta", type=float)
     tr.add_argument("--k", type=int)
     tr.add_argument("--seed", type=int)
-    tr.add_argument("--layers", default="64,16", help="hidden and output sizes after the input dim")
+    tr.add_argument("--layers", help="hidden and output sizes after the input dim")
     tr.add_argument("--one-off", action="store_true", help="plan all anchors once, no curriculum")
     tr.add_argument(
         "--instance-only", action="store_true", help="baseline: never use neighbourhood terms"
     )
     # retired: every round anneals from --lr; parsed and never read, as perfbench/run.py passes it
     tr.add_argument("--lr-reset-per-round", action="store_true", help=argparse.SUPPRESS)
-    tr.set_defaults(func=cmd_train)
+    # dest -> flag as typed, so that a --manifest run names the flags it refuses
+    tr.set_defaults(func=cmd_train, flags={a.dest: a.option_strings[0] for a in tr._actions})
 
     ev = sub.add_parser("eval", help="score a checkpoint on a labelled split", **given_only)
     ev.add_argument("--checkpoint", required=True)
@@ -279,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="labelled training split backing the memory bank; omit when --data is it",
     )
-    ev.add_argument("--knn-k", type=int, default=DEFAULT_K_EVAL)
+    ev.add_argument("--knn-k", dest="k_eval", type=int)
     ev.add_argument("--tau", type=float, default=DEFAULT_EVAL_TAU)
     ev.add_argument("--probe", action="store_true", default=False, help="also train a linear probe")
     ev.add_argument("--probe-epochs", dest="epochs", type=int)
@@ -289,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     ins = sub.add_parser("inspect", help="dump per-anchor curriculum state as CSV")
     ins.add_argument("--checkpoint", required=True)
-    ins.add_argument("--round", type=int, default=None, help="default: final trained round")
+    ins.add_argument("--round", type=int, help="round to re-plan on the final bank (default: last)")
     ins.add_argument("--data", help="labelled dataset for the consistency column")
     ins.add_argument("--out", help="write CSV here instead of stdout")
     ins.set_defaults(func=cmd_inspect)

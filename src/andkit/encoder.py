@@ -12,7 +12,11 @@ at or below 1e-12 aborts with an error instead of being epsilon-fudged;
 a silent epsilon would change gradients and poison finite-difference
 checks.
 
-Optimisation is SGD with Nesterov momentum, fixed update
+`EncoderParams` is the one type for encoder state: the parameters, the
+gradients `backward` returns and the velocities `sgd_nesterov_step` keeps
+(`params.zeros_like()` at the start) all hold per-layer `weights` and
+`biases` of the same shapes. Optimisation is SGD with Nesterov momentum,
+fixed update
 
     v <- mu * v - lr * g
     theta <- theta + mu * v - lr * g
@@ -53,6 +57,8 @@ class EncoderConfig:
 
 @dataclass
 class EncoderParams:
+    """Per-layer weights and biases: parameters, their gradients, or their velocities."""
+
     weights: list[np.ndarray]  # layer l: (out_l, in_l)
     biases: list[np.ndarray]  # layer l: (out_l,)
 
@@ -61,16 +67,13 @@ class EncoderParams:
         return (self.weights[0].shape[1],) + tuple(w.shape[0] for w in self.weights)
 
     def copy(self) -> "EncoderParams":
+        return EncoderParams([w.copy() for w in self.weights], [b.copy() for b in self.biases])
+
+    def zeros_like(self) -> "EncoderParams":
+        """All-zero arrays of the same shapes: the velocity a run starts from."""
         return EncoderParams(
-            weights=[w.copy() for w in self.weights],
-            biases=[b.copy() for b in self.biases],
+            [np.zeros_like(w) for w in self.weights], [np.zeros_like(b) for b in self.biases]
         )
-
-
-@dataclass
-class EncoderGrads:
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
 
 
 @dataclass
@@ -122,7 +125,7 @@ def forward(params: EncoderParams, inputs) -> tuple[np.ndarray, ForwardCache]:
     return features, cache
 
 
-def backward(params: EncoderParams, cache: ForwardCache, grad_wrt_features) -> EncoderGrads:
+def backward(params: EncoderParams, cache: ForwardCache, grad_wrt_features) -> EncoderParams:
     """Exact parameter gradients for the loss whose feature gradient is given."""
     if cache.params is not params:
         raise ContractError("cache does not belong to these parameters")
@@ -140,41 +143,23 @@ def backward(params: EncoderParams, cache: ForwardCache, grad_wrt_features) -> E
         grads_b.append(gz.sum(axis=0))
         if l > 0:
             gz = (gz @ params.weights[l]) * (cache.pre_acts[l - 1] > 0.0)
-    return EncoderGrads(weights=grads_w[::-1], biases=grads_b[::-1])
+    return EncoderParams(weights=grads_w[::-1], biases=grads_b[::-1])
 
 
-@dataclass
-class OptimState:
-    """Momentum buffers plus the optimiser's scalar knobs, which `train` sets from its config."""
-
-    vel_weights: list[np.ndarray]
-    vel_biases: list[np.ndarray]
-    lr: float
-    momentum: float
-
-    @classmethod
-    def init_like(cls, params: EncoderParams, lr: float, momentum: float) -> "OptimState":
-        return cls(
-            vel_weights=[np.zeros_like(w) for w in params.weights],
-            vel_biases=[np.zeros_like(b) for b in params.biases],
-            lr=lr,
-            momentum=momentum,
-        )
-
-
-def sgd_nesterov_step(params: EncoderParams, grads: EncoderGrads, state: OptimState) -> None:
-    """Apply one Nesterov update in place; aborts untouched on non-finite grads."""
-    tensors = list(zip(params.weights, grads.weights, state.vel_weights)) + list(
-        zip(params.biases, grads.biases, state.vel_biases)
+def sgd_nesterov_step(
+    params: EncoderParams, grads: EncoderParams, velocity: EncoderParams, lr: float, momentum: float
+) -> None:
+    """Nesterov update of `params` and `velocity` in place; aborts untouched on non-finite grads."""
+    tensors = list(zip(params.weights, grads.weights, velocity.weights)) + list(
+        zip(params.biases, grads.biases, velocity.biases)
     )
     for _, g, _ in tensors:
         if not np.isfinite(g).all():
             raise NumericError("non-finite gradient; refusing to step")
-    mu, lr = state.momentum, state.lr
     for theta, g, v in tensors:
-        v *= mu
+        v *= momentum
         v -= lr * g
-        theta += mu * v - lr * g
+        theta += momentum * v - lr * g
 
 
 def lr_at(epoch: int, base_lr: float, epochs_per_round: int = REFERENCE_EPOCHS) -> float:

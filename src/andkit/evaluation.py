@@ -36,7 +36,7 @@ class EvalReport:
     linear_accuracy: float | None
     consistent_count: int
     inconsistent_count: int
-    per_class_accuracy: list[float]
+    per_class_accuracy: list[float | None]  # None (JSON null): the class has no sample here
 
 
 def _check_labels(labels) -> np.ndarray:
@@ -75,13 +75,14 @@ def knn_predict_batch(
     features,
     bank: FeatureBank,
     labels,
-    k_eval: int = DEFAULT_K_EVAL,
+    k_eval: int | None = None,
     tau: float = DEFAULT_EVAL_TAU,
     leave_one_out: bool = False,
 ) -> np.ndarray:
     """Vectorised `weighted_knn_predict` over a feature matrix.
 
-    With `leave_one_out`, query row i must correspond to bank row i and is
+    `k_eval` defaults to DEFAULT_K_EVAL, capped at the candidate rows. With
+    `leave_one_out`, query row i must correspond to bank row i and is
     excluded from its own candidate set. Weights are shifted by each row's
     best score, exp((s - s_max) / tau), so a small tau cannot overflow them.
     Scores are computed in row blocks (`affinity.row_blocks`), so the whole
@@ -96,6 +97,7 @@ def knn_predict_batch(
     if leave_one_out and feats.shape[0] != bank.n:
         raise ContractError("leave-one-out needs one query per bank row")
     available = bank.n - (1 if leave_one_out else 0)
+    k_eval = min(DEFAULT_K_EVAL, available) if k_eval is None else k_eval
     if not 1 <= k_eval <= available:
         raise ConfigurationError(f"k_eval must lie in [1, {available}], got {k_eval}")
     top = np.empty((feats.shape[0], k_eval), dtype=np.intp)
@@ -117,7 +119,7 @@ def knn_accuracy(
     params: EncoderParams,
     bank: FeatureBank,
     labels,
-    k_eval: int = DEFAULT_K_EVAL,
+    k_eval: int | None = None,
     leave_one_out: bool = False,
 ) -> float:
     """Fraction of split samples whose weighted kNN vote matches ground truth."""
@@ -127,13 +129,13 @@ def knn_accuracy(
     return float((preds == truth).mean())
 
 
-def per_class_accuracy(predictions, truth) -> list[float]:
+def per_class_accuracy(predictions, truth) -> list[float | None]:
     preds = np.asarray(predictions)
     truth = _check_labels(truth)
     out = []
     for c in range(int(truth.max()) + 1):
         mask = truth == c
-        out.append(float((preds[mask] == c).mean()) if mask.any() else float("nan"))
+        out.append(float((preds[mask] == c).mean()) if mask.any() else None)
     return out
 
 

@@ -47,7 +47,6 @@ from .data import make_batches
 from .encoder import (
     EncoderConfig,
     EncoderParams,
-    OptimState,
     backward,
     forward,
     init_params,
@@ -263,7 +262,7 @@ def train(
     params = init_params(EncoderConfig(config.layer_sizes, seed=derive_seed(config.seed, 1)))
     bank = init_bank(n, config.layer_sizes[-1], SeededRng(derive_seed(config.seed, 2)))
     batch_rng = SeededRng(derive_seed(config.seed, 3))
-    opt = OptimState.init_like(params, lr=config.base_lr, momentum=config.momentum)
+    velocity = params.zeros_like()
     batch_size = min(config.batch_size, n)
 
     records: list[MetricsRecord] = []
@@ -274,7 +273,7 @@ def train(
             plan = plan_round(bank, config, r)
         extra = dict(monitor(r, plan, bank, params)) if r and monitor is not None else {}
         for e in range(config.epochs_per_round if r else config.init_epochs_resolved):
-            opt.lr = lr_at(e, config.base_lr, config.epochs_per_round)
+            lr = lr_at(e, config.base_lr, config.epochs_per_round)
             loss_sum = 0.0
             for batch in make_batches(n, batch_size, batch_rng):
                 try:
@@ -282,7 +281,8 @@ def train(
                 except DegenerateInputError as err:  # err.row is the row within the batch
                     raise DegenerateInputError(f"sample {int(batch[err.row])}: {err}") from err
                 loss, gfeats = round_batch_loss(feats, plan.batch_members(batch), bank, config.tau)
-                sgd_nesterov_step(params, backward(params, cache, gfeats), opt)
+                grads = backward(params, cache, gfeats)
+                sgd_nesterov_step(params, grads, velocity, lr, config.momentum)
                 update_batch(bank, batch, feats, config.eta)
                 loss_sum += loss * batch.size
             records.append(

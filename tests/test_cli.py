@@ -149,6 +149,18 @@ class TestGenerate:
             assert code == 2, name
             assert not (tmp_path / "r").exists()
             assert name in capsys.readouterr().err
+        # a manifest fixes the whole configuration: only --out may go with it
+        for flags in (
+            ("--epochs", 1, "--rounds", 1, "--k", 5), ("--seed", 0), ("--one-off",),
+            ("--data", blob_file), ("--layers", "24,8"), ("--lr", 0.1),
+        ):
+            code = run(
+                "train", "--manifest", run_dir / "manifest.json", *flags, "--out", tmp_path / "r"
+            )
+            assert code == 2, flags
+            assert not (tmp_path / "r").exists()
+            err = capsys.readouterr().err
+            assert all(f in err for f in flags if str(f).startswith("--")), (flags, err)
         for args in (("--knn-k", 100), ("--probe", "--probe-lr", "nan"),
                      ("--probe", "--probe-epochs", -1)):
             code = run(
@@ -347,6 +359,56 @@ class TestEval:
                 "eval", "--checkpoint", ckpt_path, "--data", test_path, "--bank-data", bank_data
             ) == 1
             assert message in capsys.readouterr().err
+
+    def test_default_knn_k_is_capped_on_a_small_bank(self, tmp_path, capsys):
+        from andkit.data import load_dataset
+        from andkit.encoder import forward
+        from andkit.evaluation import knn_predict_batch
+        from andkit.pipeline import load_checkpoint
+
+        data, out = tmp_path / "nine.ands", tmp_path / "run"
+        assert run(
+            "generate", "--classes", 3, "--per-class", 3, "--dim", 4, "--seed", 2, "--out", data
+        ) == 0
+        assert run(
+            "train", "--data", data, "--rounds", 1, "--epochs", 2, "--layers", "8,4",
+            "--out", out,
+        ) == 0
+        capsys.readouterr()
+        assert run("eval", "--checkpoint", out / "checkpoint.andc", "--data", data) == 0
+        report = json.loads(capsys.readouterr().out)
+        ds, ckpt = load_dataset(data), load_checkpoint(out / "checkpoint.andc")
+        feats, _ = forward(ckpt.params, ds.inputs)
+        preds = knn_predict_batch(feats, ckpt.bank, ds.labels, 8, leave_one_out=True)
+        assert report["knn_accuracy"] == float((preds == ds.labels).mean())
+        # an explicit k beyond the N - 1 = 8 candidates is still refused
+        assert run("eval", "--checkpoint", out / "checkpoint.andc", "--data", data,
+                   "--knn-k", 9) == 2
+
+    def test_report_is_strict_json_for_a_class_missing_from_the_split(self, tmp_path, capsys):
+        from andkit.data import Dataset, load_dataset, save_dataset
+
+        def no_constants(name):
+            raise ValueError(f"non-JSON constant {name}")
+
+        data, out = tmp_path / "gap.csv", tmp_path / "run"
+        assert run(
+            "generate", "--classes", 3, "--per-class", 10, "--dim", 4, "--seed", 3,
+            "--out", tmp_path / "three.ands",
+        ) == 0
+        blobs = load_dataset(tmp_path / "three.ands")
+        labels = np.where(blobs.labels == 1, 2, blobs.labels)  # labels {0, 2}: class 1 is empty
+        save_dataset(Dataset(inputs=blobs.inputs, labels=labels), data)
+        assert run(
+            "train", "--data", data, "--rounds", 1, "--epochs", 2, "--layers", "8,4",
+            "--out", out,
+        ) == 0
+        capsys.readouterr()
+        assert run("eval", "--checkpoint", out / "checkpoint.andc", "--data", data) == 0
+        report = json.loads(capsys.readouterr().out, parse_constant=no_constants)
+        per_class = report["per_class_accuracy"]
+        assert len(per_class) == 3 and per_class[1] is None
+        assert all(0.0 <= acc <= 1.0 for acc in (per_class[0], per_class[2]))
 
     def test_non_finite_checkpoint_values_rejected(self, run_dir, blob_file, tmp_path, capsys):
         from andkit.pipeline import load_checkpoint

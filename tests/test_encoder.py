@@ -4,7 +4,6 @@ import pytest
 from andkit.encoder import (
     EncoderConfig,
     EncoderParams,
-    OptimState,
     backward,
     forward,
     init_params,
@@ -143,18 +142,27 @@ class TestBackward:
 
 
 class TestSgdNesterov:
+    def test_velocity_and_grads_are_params_shaped(self):
+        params = init_params(EncoderConfig(layer_sizes=(3, 5, 2), seed=4))
+        feats, cache = forward(params, np.ones((4, 3)))
+        grads = backward(params, cache, np.ones_like(feats))
+        velocity = params.zeros_like()
+        for state in (grads, velocity):
+            assert isinstance(state, EncoderParams) and state.layer_sizes == (3, 5, 2)
+        assert all(not v.any() for v in (*velocity.weights, *velocity.biases))
+        assert not any(np.shares_memory(v, p) for v, p in zip(velocity.weights, params.weights))
+
     def test_mu_zero_is_plain_sgd(self):
         params = EncoderParams(weights=[np.array([[1.0, 2.0]])], biases=[np.array([0.5])])
-        grads = type("G", (), {"weights": [np.array([[0.2, -0.4]])], "biases": [np.array([0.1])]})()
-        state = OptimState.init_like(params, lr=0.5, momentum=0.0)
-        sgd_nesterov_step(params, grads, state)
+        grads = EncoderParams(weights=[np.array([[0.2, -0.4]])], biases=[np.array([0.1])])
+        sgd_nesterov_step(params, grads, params.zeros_like(), lr=0.5, momentum=0.0)
         np.testing.assert_allclose(params.weights[0], [[0.9, 2.2]], atol=1e-15)
         np.testing.assert_allclose(params.biases[0], [0.45], atol=1e-15)
 
     def test_lr_zero_keeps_params(self):
         params = EncoderParams(weights=[np.array([[1.0]])], biases=[np.array([2.0])])
-        grads = type("G", (), {"weights": [np.array([[5.0]])], "biases": [np.array([5.0])]})()
-        sgd_nesterov_step(params, grads, OptimState.init_like(params, lr=0.0, momentum=0.9))
+        grads = EncoderParams(weights=[np.array([[5.0]])], biases=[np.array([5.0])])
+        sgd_nesterov_step(params, grads, params.zeros_like(), lr=0.0, momentum=0.9)
         assert params.weights[0][0, 0] == 1.0 and params.biases[0][0] == 2.0
 
     def test_momentum_drift_recurrence(self):
@@ -162,38 +170,36 @@ class TestSgdNesterov:
         # v_{t+1}=mu v_t and th gains mu v_{t+1} each step
         mu, lr, g = 0.9, 0.1, 2.0
         params = EncoderParams(weights=[np.array([[0.0]])], biases=[np.zeros(1)])
-        grads = type("G", (), {"weights": [np.array([[g]])], "biases": [np.zeros(1)]})()
-        zero = type("G", (), {"weights": [np.array([[0.0]])], "biases": [np.zeros(1)]})()
-        state = OptimState.init_like(params, lr=lr, momentum=mu)
-        sgd_nesterov_step(params, grads, state)
+        grads = EncoderParams(weights=[np.array([[g]])], biases=[np.zeros(1)])
+        zero = grads.zeros_like()
+        velocity = params.zeros_like()
+        sgd_nesterov_step(params, grads, velocity, lr, mu)
         v1 = -lr * g
         th1 = mu * v1 - lr * g
         assert params.weights[0][0, 0] == pytest.approx(th1, abs=1e-15)
-        sgd_nesterov_step(params, zero, state)
+        sgd_nesterov_step(params, zero, velocity, lr, mu)
         th2 = th1 + mu * (mu * v1)
         assert params.weights[0][0, 0] == pytest.approx(th2, abs=1e-15)
-        sgd_nesterov_step(params, zero, state)
+        sgd_nesterov_step(params, zero, velocity, lr, mu)
         th3 = th2 + mu * (mu * mu * v1)
         assert params.weights[0][0, 0] == pytest.approx(th3, abs=1e-15)
 
     def test_three_step_trajectory_bit_exact(self):
         params = EncoderParams(weights=[np.array([[1.0, -2.0]])], biases=[np.zeros(1)])
-        state = OptimState.init_like(params, lr=0.25, momentum=0.0)
+        velocity = params.zeros_like()
         expected = np.array([[1.0, -2.0]])
         for step in range(3):
             g = np.array([[0.5 * (step + 1), -1.0]])
-            grads = type("G", (), {"weights": [g], "biases": [np.zeros(1)]})()
-            sgd_nesterov_step(params, grads, state)
+            grads = EncoderParams(weights=[g], biases=[np.zeros(1)])
+            sgd_nesterov_step(params, grads, velocity, lr=0.25, momentum=0.0)
             expected = expected - 0.25 * g
             np.testing.assert_array_equal(params.weights[0], expected)
 
     def test_non_finite_grads_abort_untouched(self):
         params = EncoderParams(weights=[np.array([[1.0]])], biases=[np.array([2.0])])
-        grads = type(
-            "G", (), {"weights": [np.array([[np.nan]])], "biases": [np.array([0.0])]}
-        )()
+        grads = EncoderParams(weights=[np.array([[np.nan]])], biases=[np.array([0.0])])
         with pytest.raises(NumericError):
-            sgd_nesterov_step(params, grads, OptimState.init_like(params, lr=0.1, momentum=0.9))
+            sgd_nesterov_step(params, grads, params.zeros_like(), lr=0.1, momentum=0.9)
         assert params.weights[0][0, 0] == 1.0 and params.biases[0][0] == 2.0
 
 
