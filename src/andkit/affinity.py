@@ -9,9 +9,14 @@ sample's probability row is the curriculum's difficulty score: a peaked row
 means the sample sits in a sparse region with an easily separable, likely
 class-pure neighbourhood, while a flat row marks a crowded, ambiguous one.
 
-Every N x N score matrix is computed in blocks of ROW_BLOCK query rows
-(`row_blocks`), so planning, kNN evaluation and `inspect` hold O(ROW_BLOCK * N)
-scores at a time, and `top_k` selects by partition rather than a full sort.
+Every N x N score matrix is computed in row blocks (`row_blocks`), so
+planning, kNN evaluation and `inspect` hold O(ROW_BLOCK * N) scores at a
+time, and `top_k` selects by partition rather than a full sort. The blocks
+run on every CPU in the process's affinity mask (`taskset` limits them),
+each worker in its own contiguous span of query rows, into score buffers
+that the calling thread allocates once per call. Every output row depends
+only on its own row of scores, and no block is shorter than MIN_ROWS rows,
+so the bytes do not depend on the worker count.
 
 All log/entropy values use the natural logarithm; only the entropy ordering
 matters for curriculum selection, so the base is a free choice.
@@ -19,15 +24,25 @@ matters for curriculum selection, so the base is a free choice.
 
 from __future__ import annotations
 
+import os
+import threading
+
 import numpy as np
 
 from .errors import ConfigurationError
 from .memory import FeatureBank, all_similarities
 from .numerics import stable_softmax
 
-# query rows per score block; at N = 5000 (d = 16, one BLAS thread) plan plus
-# kNN ran within 10% for 128-512 rows and about 40% slower at 1024
+# query rows of scores in flight per call, shared among the workers; at N = 5000
+# (d = 16, one BLAS thread, one worker) plan plus kNN ran within 10% for 128-512
+# rows and about 40% slower at 1024
 ROW_BLOCK = 256
+# fewest rows in a block, bar a query matrix with fewer: OpenBLAS takes a
+# matrix-vector path for one row, and on x86-64 it rounded blocks of 2-11
+# rows differently from taller ones (d = 4 and 16, most bank sizes tried
+# from 300 to 5001), so only blocks this tall keep a row's scores the same
+# bits whatever the worker count
+MIN_ROWS = 32
 
 
 def prob_row(query, bank: FeatureBank, tau: float) -> np.ndarray:
@@ -37,21 +52,80 @@ def prob_row(query, bank: FeatureBank, tau: float) -> np.ndarray:
     return stable_softmax(all_similarities(bank, query) / tau)
 
 
-def row_blocks(queries: np.ndarray, keys: np.ndarray, exclude_self: bool = False):
-    """Yield (start, queries[start:start + ROW_BLOCK] @ keys.T) over all query rows.
+def _cpus() -> int:
+    """CPUs in this process's affinity mask, or all CPUs where there are no masks."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def row_blocks(queries: np.ndarray, keys: np.ndarray, fn, exclude_self: bool = False) -> None:
+    """Call fn(start, scores, aux, mask) on every row block of queries @ keys.T.
+
+    `scores` holds queries[start:start + len(scores)] @ keys.T; `aux` (float64)
+    and `mask` (bool) are scratch blocks of the same shape for `fn` to use. The
+    query rows are cut into one contiguous span per worker, each span into
+    near-equal blocks of at most ROW_BLOCK // workers rows, so ROW_BLOCK rows
+    of scores are in flight whatever the worker count, and no block is shorter
+    than MIN_ROWS unless the queries are. The workers are the CPUs in the
+    affinity mask, capped so that each span and block keeps MIN_ROWS rows;
+    the calling thread walks the first span and one thread per other span
+    walks the rest, all joined before this returns (with one worker the
+    blocks run inline). `fn` runs on several threads at once and must
+    write only its own rows of any shared output; an exception it raises
+    is raised again here.
 
     With `exclude_self`, query row i is key row i and its own score is -inf,
     so it never ranks as its own neighbour.
     """
-    for start in range(0, queries.shape[0], ROW_BLOCK):
-        block = queries[start:start + ROW_BLOCK] @ keys.T
-        if exclude_self:
-            rows = np.arange(block.shape[0])
-            block[rows, start + rows] = -np.inf
-        yield start, block
+    n, m = queries.shape[0], keys.shape[0]
+    workers = max(1, min(_cpus(), ROW_BLOCK // (2 * MIN_ROWS), n // MIN_ROWS))
+    height = max(1, min(ROW_BLOCK // workers, n))
+    bounds = [n * w // workers for w in range(workers + 1)]
+    # one scores, aux and mask block per span, allocated here before any worker starts
+    spans = [
+        (lo, hi, np.empty((height, m)), np.empty((height, m)), np.empty((height, m), dtype=bool))
+        for lo, hi in zip(bounds, bounds[1:])
+    ]
+
+    def walk(lo, hi, scores, aux, mask) -> None:
+        count = -(-(hi - lo) // height)
+        for b in range(count):
+            start, stop = lo + (hi - lo) * b // count, lo + (hi - lo) * (b + 1) // count
+            block = scores[:stop - start]
+            np.matmul(queries[start:stop], keys.T, out=block)
+            if exclude_self:
+                rows = np.arange(stop - start)
+                block[rows, start + rows] = -np.inf
+            fn(start, block, aux[:stop - start], mask[:stop - start])
+
+    if workers == 1:
+        walk(*spans[0])
+        return
+    # plain threads, joined before returning: threading is loaded with numpy anyway,
+    # while importing concurrent.futures cost 5.5 ms in every process that pools
+    errors = []
+
+    def run(span) -> None:
+        try:
+            walk(*span)
+        except BaseException as err:  # raised again in the calling thread below
+            errors.append(err)
+
+    threads = [threading.Thread(target=run, args=(span,)) for span in spans[1:]]
+    for thread in threads:
+        thread.start()
+    try:
+        walk(*spans[0])
+    finally:
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[0]
 
 
-def top_k(scores: np.ndarray, k: int) -> np.ndarray:
+def top_k(scores: np.ndarray, k: int, aux=None, mask=None) -> np.ndarray:
     """Column indices of the k largest scores in each row, best first.
 
     Equal scores keep ascending index order; this is the one tie rule used
@@ -59,19 +133,25 @@ def top_k(scores: np.ndarray, k: int) -> np.ndarray:
     The result equals ``np.argsort(-scores, axis=1, kind="stable")[:, :k]``:
     a partition finds each row's k-th largest score, the k entries at or
     above it are sorted, and only a row whose k-th score ties beyond k
-    entries (or that holds a NaN) is sorted whole.
+    entries (or that holds a NaN) is sorted whole. `aux` (float64) and
+    `mask` (bool), blocks of the scores' shape, take the partitioned copy
+    and the at-or-above mask; without them both are allocated here.
     """
     rows, m = scores.shape
     if not 1 <= k <= m:
         raise ConfigurationError(f"k must lie in [1, {m}], got {k}")
-    kth = np.partition(scores, m - k, axis=1)[:, m - k, None]
-    above = scores >= kth
-    counts = above.sum(axis=1)
-    exact, tied = np.flatnonzero(counts == k), np.flatnonzero(counts != k)
+    aux = np.empty_like(scores) if aux is None else aux
+    mask = np.empty(scores.shape, dtype=bool) if mask is None else mask
+    np.copyto(aux, scores)
+    aux.partition(m - k, axis=1)
+    np.greater_equal(scores, aux[:, m - k, None], out=mask)
+    counts = mask.sum(axis=1)
+    fits = counts == k
+    exact, tied = np.flatnonzero(fits), np.flatnonzero(~fits)
     out = np.empty((rows, k), dtype=np.intp)
-    # nonzero lists each row's k columns in ascending order, so the stable
+    # nonzero lists each row's columns in ascending order, so the stable
     # sort of their scores breaks ties to the lower index
-    cols = np.nonzero(above[exact])[1].reshape(-1, k)
+    cols = np.nonzero(mask)[1][np.repeat(fits, counts)].reshape(-1, k)
     order = np.argsort(-scores[exact[:, None], cols], axis=1, kind="stable")
     out[exact] = np.take_along_axis(cols, order, axis=1)
     out[tied] = np.argsort(-scores[tied], axis=1, kind="stable")[:, :k]
@@ -92,8 +172,11 @@ def build_neighbourhoods(bank: FeatureBank, k: int) -> np.ndarray:
     members[:, 0] = np.arange(n)  # the anchor joins explicitly, not via search
     if k == 0:
         return members
-    for start, sims in row_blocks(bank.features, bank.features, exclude_self=True):
-        members[start:start + sims.shape[0], 1:] = top_k(sims, k)
+
+    def block(start, scores, aux, mask):
+        members[start:start + scores.shape[0], 1:] = top_k(scores, k, aux, mask)
+
+    row_blocks(bank.features, bank.features, block, exclude_self=True)
     return members
 
 
@@ -103,10 +186,18 @@ def entropy(probs: np.ndarray) -> float:
     return float(-(nz * np.log(nz)).sum())
 
 
-def entropy_rows(prob_matrix: np.ndarray) -> np.ndarray:
-    """Row-wise entropies of a stack of probability rows."""
+def entropy_rows(prob_matrix: np.ndarray, aux=None, mask=None) -> np.ndarray:
+    """Row-wise entropies of a stack of probability rows.
+
+    `aux` (float64) and `mask` (bool), blocks of the matrix's shape, take
+    p log p and p > 0; without them both are allocated here.
+    """
     p = np.asarray(prob_matrix, dtype=np.float64)
-    plogp = np.where(p > 0.0, p, 1.0)  # log(1) is exactly 0, so p = 0 adds 0
+    plogp = np.empty_like(p) if aux is None else aux
+    mask = np.empty(p.shape, dtype=bool) if mask is None else mask
+    np.greater(p, 0.0, out=mask)
+    plogp.fill(1.0)  # log(1) is exactly 0, so p = 0 adds 0
+    np.copyto(plogp, p, where=mask)
     np.log(plogp, out=plogp)
     plogp *= p
     return -plogp.sum(axis=1)

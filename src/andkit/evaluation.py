@@ -85,8 +85,10 @@ def knn_predict_batch(
     `leave_one_out`, query row i must correspond to bank row i and is
     excluded from its own candidate set. Weights are shifted by each row's
     best score, exp((s - s_max) / tau), so a small tau cannot overflow them.
-    Scores are computed in row blocks (`affinity.row_blocks`), so the whole
-    query x bank matrix is never held.
+    Scores are computed in row blocks on every CPU in the affinity mask
+    (`affinity.row_blocks`), so the whole query x bank matrix is never
+    held; each block's top k is taken in that call's scratch buffers, and
+    the votes do not depend on the worker count.
     """
     if not (math.isfinite(tau) and tau > 0):
         raise ConfigurationError(f"tau must be a finite number > 0, got {tau}")
@@ -102,10 +104,13 @@ def knn_predict_batch(
         raise ConfigurationError(f"k_eval must lie in [1, {available}], got {k_eval}")
     top = np.empty((feats.shape[0], k_eval), dtype=np.intp)
     top_sims = np.empty((feats.shape[0], k_eval))
-    for start, sims in row_blocks(feats, bank.features, exclude_self=leave_one_out):
-        block_top = top_k(sims, k_eval)
-        top[start:start + sims.shape[0]] = block_top
-        top_sims[start:start + sims.shape[0]] = np.take_along_axis(sims, block_top, axis=1)
+
+    def block(start, scores, aux, mask):
+        block_top = top_k(scores, k_eval, aux, mask)
+        top[start:start + scores.shape[0]] = block_top
+        top_sims[start:start + scores.shape[0]] = np.take_along_axis(scores, block_top, axis=1)
+
+    row_blocks(feats, bank.features, block, exclude_self=leave_one_out)
     weights = np.exp((top_sims - top_sims[:, :1]) / tau)  # top_k puts the best score first
     num_classes = int(labels.max()) + 1
     scores = np.zeros((feats.shape[0], num_classes))

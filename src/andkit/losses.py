@@ -75,7 +75,9 @@ def neighbourhood_term(i: int, x_i, members, bank: FeatureBank, tau: float) -> L
     return LossGrad(loss=float(-np.log(q)), grad=grad)
 
 
-def round_batch_loss(feats, members, bank: FeatureBank, tau: float) -> tuple[float, np.ndarray]:
+def round_batch_loss(
+    feats, members, bank: FeatureBank, tau: float, *, work=None
+) -> tuple[float, np.ndarray]:
     """Mean neighbourhood loss over a batch and gradients of that mean.
 
     Row b of `feats` is the fresh feature of a sample whose member set is
@@ -84,22 +86,29 @@ def round_batch_loss(feats, members, bank: FeatureBank, tau: float) -> tuple[flo
     Row b of the returned gradient matrix is d(mean loss)/d(feats[b]),
     ready to feed straight into the encoder backward pass.
 
-    The whole batch is evaluated in one vectorised pass that holds two
-    (b, N) arrays, the scores and the softmax. The scores are reused as
-    the dense member-mass row, and q is that row's full sum, because a sum
-    over the member columns alone would round differently. The gradient
-    is scattered into the softmax at the member columns only (see the
-    module notes). The per-sample term functions above serve as its
-    reference oracle in the tests.
+    The whole batch is evaluated in one vectorised pass over two (b, N)
+    arrays, the scores and the softmax: the two halves of `work`, a
+    float64 (2, b, N) buffer that a caller running many batches allocates
+    once (`train` holds one per round); without it they are allocated
+    here. The scores are reused as the dense member-mass row, and q is
+    that row's full sum, because a sum over the member columns alone would
+    round differently. The gradient is scattered into the softmax at the
+    member columns only (see the module notes). The per-sample term
+    functions above serve as its reference oracle in the tests.
     """
     feats = np.asarray(feats, dtype=np.float64)
     members = np.asarray(members, dtype=np.int64)
     b = feats.shape[0]
     if members.ndim != 2 or members.shape[0] != b:
         raise ContractError(f"member array shape {members.shape} does not fit {b} features")
-    z = feats @ bank.features.T
+    if work is None:
+        work = np.empty((2, b, bank.n))
+    elif work.shape != (2, b, bank.n):
+        raise ContractError(f"work buffer shape {work.shape} is not {(2, b, bank.n)}")
+    z, p = work
+    np.matmul(feats, bank.features.T, out=z)
     z /= tau
-    p = stable_softmax(z)
+    stable_softmax(z, out=p)
     pm = np.take_along_axis(p, members, axis=1)
     # z becomes the dense member-mass row; q is its full-row sum (module notes)
     z.fill(0.0)

@@ -154,19 +154,21 @@ def l2_normalize_rows(mat) -> np.ndarray:
     return m / row_norms(m)[:, None]
 
 
-def stable_softmax(logits) -> np.ndarray:
+def stable_softmax(logits, out=None) -> np.ndarray:
     """Softmax computed as exp(x - max(x)) / sum, immune to overflow.
 
     Accepts a vector or a matrix; matrix rows are independent
     distributions. Output entries are non-negative and each distribution
     sums to 1 up to float64 rounding. The shifted logits are exponentiated
     and normalised in place, so the one output array is the only
-    full-size allocation; the input array is left untouched.
+    full-size allocation; the input array is left untouched unless it is
+    `out`. With `out` (float64, the logits' shape) nothing full-size is
+    allocated.
     """
     z = np.asarray(logits, dtype=np.float64)
     if z.size == 0:
         raise DimensionError("softmax of an empty vector")
-    e = z - z.max(axis=-1, keepdims=True)
+    e = np.subtract(z, z.max(axis=-1, keepdims=True), out=out)
     np.exp(e, out=e)
     e /= e.sum(axis=-1, keepdims=True)
     return e

@@ -135,8 +135,9 @@ class TrainConfig:
             raise ConfigurationError(f"batch_size must be >= 1, got {self.batch_size}")
         if not (math.isfinite(self.base_lr) and self.base_lr > 0):
             raise ConfigurationError(f"base_lr must be a finite number > 0, got {self.base_lr}")
-        if not (math.isfinite(self.momentum) and self.momentum >= 0):
-            raise ConfigurationError(f"momentum must be a finite number >= 0, got {self.momentum}")
+        # Nesterov's velocity decays only for momentum < 1; at 1 or more it never forgets a step
+        if not 0.0 <= self.momentum < 1.0:
+            raise ConfigurationError(f"momentum must lie in [0, 1), got {self.momentum}")
         if not (math.isfinite(self.tau) and self.tau > 0):
             raise ConfigurationError(f"tau must be a finite number > 0, got {self.tau}")
         if not 0.0 < self.eta <= 1.0:
@@ -213,11 +214,19 @@ def select_anchors(entropies, r: int, R: int) -> np.ndarray:
 
 
 def bank_entropies(bank: FeatureBank, tau: float) -> np.ndarray:
-    """Consistency entropy of every memory row queried against the whole bank."""
+    """Consistency entropy of every memory row queried against the whole bank.
+
+    Each score block becomes its softmax in place; `entropy_rows` takes
+    p log p in the block's scratch buffers.
+    """
     out = np.empty(bank.n)
-    for start, sims in row_blocks(bank.features, bank.features):
-        sims /= tau
-        out[start:start + sims.shape[0]] = entropy_rows(stable_softmax(sims))
+
+    def block(start, scores, aux, mask):
+        scores /= tau
+        probs = stable_softmax(scores, out=scores)
+        out[start:start + scores.shape[0]] = entropy_rows(probs, aux, mask)
+
+    row_blocks(bank.features, bank.features, block)
     return out
 
 
@@ -272,6 +281,9 @@ def train(
         if r and (r == 1 or not config.one_off):  # one-off plans once and never re-plans
             plan = plan_round(bank, config, r)
         extra = dict(monitor(r, plan, bank, params)) if r and monitor is not None else {}
+        # the batch loss's scores and softmax, allocated once a round; the
+        # plan and monitor above run without it, so the two never stack up
+        work = np.empty((2, batch_size, n))
         for e in range(config.epochs_per_round if r else config.init_epochs_resolved):
             lr = lr_at(e, config.base_lr, config.epochs_per_round)
             loss_sum = 0.0
@@ -280,7 +292,9 @@ def train(
                     feats, cache = forward(params, x[batch])
                 except DegenerateInputError as err:  # err.row is the row within the batch
                     raise DegenerateInputError(f"sample {int(batch[err.row])}: {err}") from err
-                loss, gfeats = round_batch_loss(feats, plan.batch_members(batch), bank, config.tau)
+                loss, gfeats = round_batch_loss(
+                    feats, plan.batch_members(batch), bank, config.tau, work=work[:, :batch.size]
+                )
                 grads = backward(params, cache, gfeats)
                 sgd_nesterov_step(params, grads, velocity, lr, config.momentum)
                 update_batch(bank, batch, feats, config.eta)
@@ -294,6 +308,7 @@ def train(
                     **extra,
                 )
             )
+        del work
     return params, bank, records
 
 

@@ -85,7 +85,8 @@ class TestGenerate:
         assert code == 2
         assert not (tmp_path / "r").exists()
         for flag, value in (
-            ("--momentum", -1), ("--momentum", "nan"), ("--lr", "inf"), ("--tau", "inf"),
+            ("--momentum", -1), ("--momentum", "nan"), ("--momentum", 1), ("--momentum", 5),
+            ("--lr", "inf"), ("--tau", "inf"),
             ("--layers", "24,1"),
             # refused before training: checkpoint v1 could not store them
             ("--batch-size", 99999999999), ("--seed", 99999999999999999999),

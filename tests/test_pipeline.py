@@ -131,12 +131,23 @@ class TestPlanRound:
             expected = dense_entropy_rows(dense_softmax(sims))
             np.testing.assert_array_equal(bank_entropies(bank, tau), expected)
 
-    def test_entropy_peak_memory_is_a_few_score_blocks(self):
+    @staticmethod
+    def assert_entropy_peak_is_a_few_score_blocks(monkeypatch, workers):
+        import andkit.affinity as affinity
+
+        monkeypatch.setattr(affinity, "_cpus", lambda: workers)
         n = 4000
         bank = random_bank(n, 16, seed=9)
         peak = traced_peak(bank_entropies, bank, 0.07)
         block = 8 * ROW_BLOCK * n
         assert peak < 3.5 * block, f"peak {peak / block:.2f} x 8 ROW_BLOCK N bytes"
+
+    def test_entropy_peak_memory_is_a_few_score_blocks(self, monkeypatch):
+        self.assert_entropy_peak_is_a_few_score_blocks(monkeypatch, workers=1)
+
+    def test_entropy_peak_memory_holds_at_two_workers(self, monkeypatch):
+        # ROW_BLOCK rows are in flight whatever the worker count, so the bound is the same
+        self.assert_entropy_peak_is_a_few_score_blocks(monkeypatch, workers=2)
 
     def test_plan_peak_memory_is_below_half_an_n_squared_matrix(self):
         n = 4000
@@ -277,6 +288,8 @@ class TestTrain:
             {"base_lr": "0.1"}, {"one_off": 1}, {"one_off": True, "instance_only": True},
             {"layer_sizes": (8.9, 10, 4)}, {"layer_sizes": ("8", "10", "4")},
             {"layer_sizes": (8, True, 4)},
+            # Nesterov's velocity never decays at momentum >= 1
+            {"momentum": 1.0}, {"momentum": 5.0}, {"momentum": float("inf")},
         ):
             with pytest.raises(ConfigurationError):
                 train(small_inputs(), small_config(**override))
@@ -360,6 +373,13 @@ class TestCheckpoint:
         path.write_bytes(bytes(blob))
         with pytest.raises(FormatError, match="invalid config"):
             load_checkpoint(path)
+        # momentum, the second f64 after the seed and the four u8s, must lie in [0, 1)
+        for momentum in (1.0, 5.0):
+            blob = bytearray(good)
+            struct.pack_into("<d", blob, 6 + 4 * 6 + 8 + 4 + 8, momentum)
+            path.write_bytes(bytes(blob))
+            with pytest.raises(FormatError, match="momentum"):
+                load_checkpoint(path)
         blob = bytearray(good)
         struct.pack_into("<I", blob, 6 + 4 * 5, 1)  # an earlier round is in range
         path.write_bytes(bytes(blob))
