@@ -131,11 +131,13 @@ def top_k(scores: np.ndarray, k: int, aux=None, mask=None) -> np.ndarray:
     Equal scores keep ascending index order; this is the one tie rule used
     by planning, kNN evaluation and `inspect`, so runs are reproducible.
     The result equals ``np.argsort(-scores, axis=1, kind="stable")[:, :k]``:
-    a partition finds each row's k-th largest score, the k entries at or
-    above it are sorted, and only a row whose k-th score ties beyond k
-    entries (or that holds a NaN) is sorted whole. `aux` (float64) and
-    `mask` (bool), blocks of the scores' shape, take the partitioned copy
-    and the at-or-above mask; without them both are allocated here.
+    a partition finds each row's k-th largest score and the entries at or
+    above it are sorted. A row whose k-th score ties beyond k entries sorts
+    only those entries; a row with fewer than k of them, which only a NaN
+    makes (the partition ranks NaN largest, the sort smallest), is sorted
+    whole. `aux` (float64) and `mask` (bool), blocks of the scores' shape,
+    take the partitioned copy and the at-or-above mask; without them both
+    are allocated here.
     """
     rows, m = scores.shape
     if not 1 <= k <= m:
@@ -146,15 +148,26 @@ def top_k(scores: np.ndarray, k: int, aux=None, mask=None) -> np.ndarray:
     aux.partition(m - k, axis=1)
     np.greater_equal(scores, aux[:, m - k, None], out=mask)
     counts = mask.sum(axis=1)
-    fits = counts == k
-    exact, tied = np.flatnonzero(fits), np.flatnonzero(~fits)
     out = np.empty((rows, k), dtype=np.intp)
-    # nonzero lists each row's columns in ascending order, so the stable
-    # sort of their scores breaks ties to the lower index
-    cols = np.nonzero(mask)[1][np.repeat(fits, counts)].reshape(-1, k)
+    # nonzero lists each row's columns in ascending order, so a stable sort
+    # of their scores breaks ties to the lower index
+    hit_rows, hit_cols = np.nonzero(mask)
+    fits = counts == k
+    exact = np.flatnonzero(fits)
+    cols = hit_cols[np.repeat(fits, counts)].reshape(-1, k)
     order = np.argsort(-scores[exact[:, None], cols], axis=1, kind="stable")
     out[exact] = np.take_along_axis(cols, order, axis=1)
-    out[tied] = np.argsort(-scores[tied], axis=1, kind="stable")[:, :k]
+    over = counts > k
+    if over.any():
+        # each tied row's at-or-above entries, sorted by row, then by score;
+        # lexsort is stable, so equal scores keep ascending column order
+        take = np.repeat(over, counts)
+        rows_over, cols_over = hit_rows[take], hit_cols[take]
+        ranked = cols_over[np.lexsort((-scores[rows_over, cols_over], rows_over))]
+        starts = np.cumsum(counts[over]) - counts[over]
+        out[over] = ranked[starts[:, None] + np.arange(k)]
+    short = np.flatnonzero(counts < k)
+    out[short] = np.argsort(-scores[short], axis=1, kind="stable")[:, :k]
     return out
 
 

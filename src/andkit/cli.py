@@ -2,7 +2,10 @@
 
 Every command is flags-only and honours --seed; a train run writes a
 manifest with the fully resolved configuration, and re-running from that
-manifest reproduces the checkpoint and metrics byte for byte.
+manifest reproduces the checkpoint, plans and metrics byte for byte. `inspect`
+reads the plans a train run wrote next to its checkpoint; it re-plans on the
+final bank only when that file is absent. Every file a command writes is
+written whole or not at all (`write_atomic`).
 
 Exit codes: 0 success, 1 runtime failure, 2 usage error: a missing or malformed
 flag or manifest, or any out-of-range flag or manifest value. Every usage error
@@ -21,7 +24,15 @@ from pathlib import Path
 
 from . import __version__
 from .affinity import build_neighbourhoods
-from .data import BlobSpec, Dataset, generate_blobs, load_dataset, read_lines, save_dataset
+from .data import (
+    BlobSpec,
+    Dataset,
+    generate_blobs,
+    load_dataset,
+    read_lines,
+    save_dataset,
+    write_atomic,
+)
 from .errors import AndkitError, ConfigurationError, ContractError, ParseError
 from .evaluation import (
     DEFAULT_EVAL_TAU,
@@ -35,11 +46,15 @@ from .evaluation import (
 )
 from .encoder import forward
 from .pipeline import (
+    PLANS_FILE,
     MetricsRecord,
     TrainConfig,
     load_checkpoint,
+    load_plan,
+    plan_record,
     plan_round,
     save_checkpoint,
+    save_plans,
     train,
 )
 
@@ -64,7 +79,7 @@ def _given(target, args) -> dict:
 def _emit(text: str, out) -> None:
     """Write a command's text output to the file `out`, or to stdout when it is not given."""
     if out:
-        Path(out).write_text(text)
+        write_atomic(out, text.encode("utf-8"))
     else:
         sys.stdout.write(text)
 
@@ -126,14 +141,20 @@ def cmd_train(args) -> int:
         layers = (dataset.dim,) + _parse_layers(getattr(args, "layers", "64,16"))
         config = TrainConfig(layer_sizes=layers, **_given(TrainConfig, args))
 
-    monitor = _make_monitor(dataset) if dataset.labels is not None else None
+    labelled = _make_monitor(dataset) if dataset.labels is not None else None
+    plans = []  # each round's plan, encoded at once, so no round's arrays stay alive
+
+    def monitor(r, plan, bank, params):
+        plans.append(plan_record(plan))
+        return {} if labelled is None else labelled(r, plan, bank, params)
+
     params, bank, records = train(dataset.inputs, config, monitor=monitor)
 
     out_dir.mkdir(parents=True, exist_ok=True)
-    save_checkpoint(params, bank, config, out_dir / "checkpoint.andc")
-    with open(out_dir / "metrics.jsonl", "w", encoding="utf-8") as fh:
-        for rec in records:
-            fh.write(json.dumps(dataclasses.asdict(rec)) + "\n")
+    crc = save_checkpoint(params, bank, config, out_dir / "checkpoint.andc")
+    save_plans(plans, bank.n, config.k, crc, out_dir / PLANS_FILE)
+    lines = [json.dumps(dataclasses.asdict(rec)) + "\n" for rec in records]
+    write_atomic(out_dir / "metrics.jsonl", "".join(lines).encode("utf-8"))
     manifest = {
         "artifact_version": __version__,
         "command": "train",
@@ -141,10 +162,11 @@ def cmd_train(args) -> int:
         "out": str(out_dir),
         "config": dataclasses.asdict(config),
     }
-    (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+    write_atomic(out_dir / "manifest.json", text.encode("utf-8"))
     final = records[-1].mean_loss if records else float("nan")
     print(f"trained {config.rounds} rounds on {dataset.n} samples; final mean loss {final:.6f}")
-    print(f"outputs in {out_dir}/: checkpoint.andc, metrics.jsonl, manifest.json")
+    print(f"outputs in {out_dir}/: checkpoint.andc, {PLANS_FILE}, metrics.jsonl, manifest.json")
     return 0
 
 
@@ -201,7 +223,12 @@ def cmd_inspect(args) -> int:
         if labelled.labels is None or labelled.n != ckpt.bank.n:
             raise ContractError(f"{args.data}: needs labels for all {ckpt.bank.n} bank rows")
         labels = labelled.labels
-    plan = plan_round(ckpt.bank, ckpt.config, r)
+    plans = Path(args.checkpoint).with_name(PLANS_FILE)
+    if plans.exists():
+        plan = load_plan(plans, ckpt, r)
+    else:
+        print(f"note: no {plans}; re-planning round {r} on the final bank", file=sys.stderr)
+        plan = plan_round(ckpt.bank, ckpt.config, r)
     flags = None if labels is None else consistent_rows(plan.members, labels)
     lines = ["anchor,members,entropy,selected,consistent"]
     for i, row in enumerate(plan.members.tolist()):
@@ -291,9 +318,9 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--out", default=None, help="write the JSON report here instead of stdout")
     ev.set_defaults(func=cmd_eval)
 
-    ins = sub.add_parser("inspect", help="dump per-anchor curriculum state as CSV")
+    ins = sub.add_parser("inspect", help="dump a round's per-anchor curriculum plan as CSV")
     ins.add_argument("--checkpoint", required=True)
-    ins.add_argument("--round", type=int, help="round to re-plan on the final bank (default: last)")
+    ins.add_argument("--round", type=int, help="round whose plan to show (default: last)")
     ins.add_argument("--data", help="labelled dataset for the consistency column")
     ins.add_argument("--out", help="write CSV here instead of stdout")
     ins.set_defaults(func=cmd_inspect)

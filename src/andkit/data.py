@@ -23,6 +23,7 @@ Both loaders reject NaN and infinite inputs.
 from __future__ import annotations
 
 import math
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -125,6 +126,26 @@ def save_csv(dataset: Dataset, path) -> None:
             label = -1 if labels is None else int(labels[i])
             cells = ",".join(repr(float(v)) for v in dataset.inputs[i])
             fh.write(f"{label},{cells}\n")
+
+
+def write_atomic(path, data: bytes) -> None:
+    """Write `data` to `path` whole or not at all.
+
+    The bytes go to a temporary file in the same directory, flushed to disk,
+    which `os.replace` then moves over `path`; on any failure the temporary
+    file is removed and `path` keeps what it held before.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def read_lines(path) -> list[str]:

@@ -1,4 +1,4 @@
-"""Training orchestration: curriculum rounds, epoch loop, checkpoints.
+"""Training orchestration: curriculum rounds, epoch loop, checkpoints, plans files.
 
 A run is R + 1 rounds of one epoch loop: round 0 is the instance-only
 warm-up (the all-singleton plan, nothing selected), then R curriculum rounds.
@@ -13,7 +13,9 @@ selects no anchor. Every round, the warm-up included, anneals from `base_lr`.
 
 Training never sees labels: `train` accepts only the raw input matrix.
 Label-dependent diagnostics (neighbourhood consistency, kNN accuracy)
-enter through the optional `monitor` callback wired up by the CLI.
+enter through the optional `monitor` callback wired up by the CLI, which
+also records each round's plan (`plan_record`) for its plans file.
+Checkpoints and plans files are written whole or not at all (`write_atomic`).
 
 Checkpoint format (extension ``.andc``, all integers little-endian):
 
@@ -30,20 +32,37 @@ Checkpoint format (extension ``.andc``, all integers little-endian):
     layers   u32 count, then one u32 per layer size
     params   per layer: row-major f64 weights, then f64 biases
     bank     u32 n, u32 d, then row-major f64 feature rows
+
+Plans format (``plans.andp``, written by ``andkit train`` next to its
+checkpoint; all integers little-endian): the plan every curriculum round
+trained on, so that ``andkit inspect`` reads it instead of re-planning.
+
+    magic    4 bytes  b"ANDP"
+    version  u16      1
+    n, k, rounds      each u32 (the checkpoint's bank rows, k and rounds)
+    crc      u32      zlib.crc32 of the checkpoint file's bytes
+    then for each round r = 1..rounds, in order:
+        entropies     n f64
+        selected      ceil(n / 8) bytes, bit i of byte i // 8 (least
+                      significant first) set for a selected anchor; the
+                      padding bits are 0
+        members       n * (k + 1) i32, row-major, anchor first
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+import os
 import struct
+import zlib
 from dataclasses import asdict, dataclass, fields
 from typing import Callable
 
 import numpy as np
 
 from .affinity import build_neighbourhoods, entropy_rows, row_blocks
-from .data import make_batches
+from .data import make_batches, write_atomic
 from .encoder import (
     EncoderConfig,
     EncoderParams,
@@ -90,6 +109,11 @@ _KINDS = {
     "bool": bool,
     "tuple[int, ...]": tuple,
 }
+
+_PLANS_MAGIC = b"ANDP"
+_PLANS_VERSION = 1
+_PLANS_HEAD = struct.Struct("<4sHIIII")  # magic, version, n, k, rounds, checkpoint crc
+PLANS_FILE = "plans.andp"
 
 MonitorFn = Callable[[int, "RoundPlan", FeatureBank, EncoderParams], dict]
 
@@ -318,6 +342,7 @@ class Checkpoint:
     bank: FeatureBank
     config: TrainConfig
     final_round: int
+    crc32: int  # zlib.crc32 of the file's bytes, which a plans file names
 
 
 def save_checkpoint(
@@ -326,8 +351,11 @@ def save_checkpoint(
     config: TrainConfig,
     path,
     final_round: int | None = None,
-) -> None:
-    """Serialise params, bank, and config; the round trip is bit-exact."""
+) -> int:
+    """Serialise params, bank, and config atomically; the round trip is bit-exact.
+
+    Returns the zlib.crc32 of the bytes written, for `save_plans`.
+    """
     sizes = params.layer_sizes
     if tuple(config.layer_sizes) != sizes:
         raise ContractError(f"config layers {config.layer_sizes} != params layers {sizes}")
@@ -337,16 +365,20 @@ def save_checkpoint(
         "schedule": True,  # retired: the per-round schedule runs whatever this byte holds
         "reserved": False,
     }
-    with open(path, "wb") as fh:
-        fh.write(_HEAD.pack(_MAGIC, _VERSION))
-        fh.write(_CONFIG.pack(*(fields[name] for name in _CONFIG_FIELDS)))
-        fh.write(struct.pack("<I", len(sizes)))
-        fh.write(struct.pack(f"<{len(sizes)}I", *sizes))
-        for w, b in zip(params.weights, params.biases):
-            fh.write(np.ascontiguousarray(w, dtype="<f8").tobytes())
-            fh.write(np.ascontiguousarray(b, dtype="<f8").tobytes())
-        fh.write(struct.pack("<II", bank.n, bank.d))
-        fh.write(np.ascontiguousarray(bank.features, dtype="<f8").tobytes())
+    parts = [
+        _HEAD.pack(_MAGIC, _VERSION),
+        _CONFIG.pack(*(fields[name] for name in _CONFIG_FIELDS)),
+        struct.pack("<I", len(sizes)),
+        struct.pack(f"<{len(sizes)}I", *sizes),
+    ]
+    for w, b in zip(params.weights, params.biases):
+        parts.append(np.ascontiguousarray(w, dtype="<f8").tobytes())
+        parts.append(np.ascontiguousarray(b, dtype="<f8").tobytes())
+    parts.append(struct.pack("<II", bank.n, bank.d))
+    parts.append(np.ascontiguousarray(bank.features, dtype="<f8").tobytes())
+    blob = b"".join(parts)
+    write_atomic(path, blob)
+    return zlib.crc32(blob)
 
 
 def load_checkpoint(path) -> Checkpoint:
@@ -406,4 +438,65 @@ def load_checkpoint(path) -> Checkpoint:
         bank=FeatureBank(features=features),
         config=config,
         final_round=final_round,
+        crc32=zlib.crc32(blob),
     )
+
+
+def plan_record(plan: RoundPlan) -> bytes:
+    """One round's entry in a plans file: entropies, packed selected bits, int32 members."""
+    entropies = np.ascontiguousarray(plan.entropies, dtype="<f8").tobytes()
+    selected = np.packbits(plan.selected, bitorder="little").tobytes()
+    return entropies + selected + np.ascontiguousarray(plan.members, dtype="<i4").tobytes()
+
+
+def save_plans(records: list[bytes], n: int, k: int, checkpoint_crc: int, path) -> None:
+    """Write one `plan_record` per round, r = 1 first, bound to a checkpoint by its CRC."""
+    head = _PLANS_HEAD.pack(_PLANS_MAGIC, _PLANS_VERSION, n, k, len(records), checkpoint_crc)
+    write_atomic(path, b"".join((head, *records)))
+
+
+def load_plan(path, ckpt: Checkpoint, r: int) -> RoundPlan:
+    """Read round r's plan from a plans file written with `ckpt`.
+
+    Reads the header and round r only. A malformed file, a round that
+    breaks the plan invariants (finite entropies, members in range, anchor
+    first), or a file that names another checkpoint is a FormatError.
+    """
+    n, k, rounds = ckpt.bank.n, ckpt.config.k, ckpt.config.rounds
+    if not 1 <= r <= rounds:
+        raise ContractError(f"round {r} outside [1, {rounds}]")
+    packed = -(-n // 8)
+    size = 8 * n + packed + 4 * n * (k + 1)
+    with open(path, "rb") as fh:
+        head = fh.read(_PLANS_HEAD.size)
+        if len(head) < _PLANS_HEAD.size:
+            raise FormatError(f"{path}: truncated header ({len(head)} bytes)")
+        magic, version, *shape, crc = _PLANS_HEAD.unpack(head)
+        if magic != _PLANS_MAGIC:
+            raise FormatError(f"{path}: bad magic {magic!r}")
+        if version != _PLANS_VERSION:
+            raise FormatError(f"{path}: unsupported version {version}")
+        if shape != [n, k, rounds] or crc != ckpt.crc32:
+            raise FormatError(
+                f"{path}: written for another checkpoint (n, k, rounds, crc32 "
+                f"{(*shape, crc)} != {(n, k, rounds, ckpt.crc32)})"
+            )
+        total = os.fstat(fh.fileno()).st_size
+        if total != _PLANS_HEAD.size + rounds * size:
+            raise FormatError(f"{path}: {total} bytes, expected {_PLANS_HEAD.size + rounds * size}")
+        fh.seek(_PLANS_HEAD.size + (r - 1) * size)
+        blob = fh.read(size)
+    entropies = np.frombuffer(blob, dtype="<f8", count=n).astype(np.float64)
+    bits = np.frombuffer(blob, dtype=np.uint8, count=packed, offset=8 * n)
+    selected = np.unpackbits(bits, bitorder="little").astype(bool)
+    members = np.frombuffer(blob, dtype="<i4", offset=8 * n + packed).astype(np.int64)
+    members = members.reshape(n, k + 1)
+    if not np.isfinite(entropies).all():
+        raise FormatError(f"{path}: round {r}: non-finite entropy")
+    if selected[n:].any():
+        raise FormatError(f"{path}: round {r}: padding bits set after the selected mask")
+    if members.min() < 0 or members.max() >= n:
+        raise FormatError(f"{path}: round {r}: member outside [0, {n})")
+    if (members[:, 0] != np.arange(n)).any():
+        raise FormatError(f"{path}: round {r}: a row does not start with its anchor")
+    return RoundPlan(entropies=entropies, selected=selected[:n], members=members)

@@ -142,6 +142,14 @@ class TestTopK:
             oracle = np.argsort(-scores, axis=1, kind="stable")
             for k in sorted({1, max(m - 1, 1), m}):
                 np.testing.assert_array_equal(top_k(scores, k), oracle[:, :k], err_msg=f"k={k}")
+        # a bank of five copies: every row's best scores tie five ways, so every
+        # row sorts only its at-or-above entries
+        bank = np.tile(dyadic_matrix(40, 8, seed=13), (5, 1))
+        scores = bank @ bank.T
+        np.fill_diagonal(scores, -np.inf)
+        oracle = np.argsort(-scores, axis=1, kind="stable")
+        for k in (1, 2, 3, 10, 199):
+            np.testing.assert_array_equal(top_k(scores, k), oracle[:, :k], err_msg=f"k={k}")
 
     def test_k_out_of_range_rejected(self):
         for k in (0, 4):

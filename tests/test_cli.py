@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -201,8 +202,8 @@ class TestGenerate:
 
 class TestTrain:
     def test_outputs_exist(self, run_dir):
-        for name in ("checkpoint.andc", "metrics.jsonl", "manifest.json"):
-            assert (run_dir / name).exists()
+        names = {"checkpoint.andc", "plans.andp", "metrics.jsonl", "manifest.json"}
+        assert {path.name for path in run_dir.iterdir()} == names
 
     def test_metrics_schema(self, run_dir):
         lines = (run_dir / "metrics.jsonl").read_text().splitlines()
@@ -241,8 +242,34 @@ class TestTrain:
     def test_manifest_rerun_bit_identical(self, run_dir, tmp_path):
         out2 = tmp_path / "rerun"
         assert run("train", "--manifest", run_dir / "manifest.json", "--out", out2) == 0
-        assert (out2 / "checkpoint.andc").read_bytes() == (run_dir / "checkpoint.andc").read_bytes()
-        assert (out2 / "metrics.jsonl").read_bytes() == (run_dir / "metrics.jsonl").read_bytes()
+        for name in ("checkpoint.andc", "plans.andp", "metrics.jsonl"):
+            assert (out2 / name).read_bytes() == (run_dir / name).read_bytes(), name
+
+    @pytest.mark.parametrize("failing", [1, 2, 3, 4])
+    def test_failed_replace_leaves_no_partial_artifact(
+        self, run_dir, tmp_path, monkeypatch, capsys, failing
+    ):
+        import os
+
+        # the failing'th os.replace raises: the files moved in before it are whole,
+        # and neither it nor a later one exists, nor any temporary file
+        calls, real = [], os.replace
+
+        def replace(src, dst):
+            calls.append(dst)
+            if len(calls) == failing:
+                raise OSError("replace failed")
+            real(src, dst)
+
+        monkeypatch.setattr(os, "replace", replace)
+        out = tmp_path / "run"
+        assert run("train", "--manifest", run_dir / "manifest.json", "--out", out) == 1
+        assert "replace failed" in capsys.readouterr().err
+        written = sorted(path.name for path in out.iterdir())
+        assert written == sorted(Path(dst).name for dst in calls[:failing - 1])
+        for name in written:
+            if name != "manifest.json":  # the rerun names its own --out
+                assert (out / name).read_bytes() == (run_dir / name).read_bytes(), name
 
     def test_manifest_with_retired_false_key_reruns(self, run_dir, tmp_path):
         # older manifests hold retired keys at the value that survives: the singleton hook off,
@@ -481,20 +508,106 @@ class TestInspect:
             rows = capsys.readouterr().out.splitlines()[1:]
             assert sum(int(row.split(",")[3]) for row in rows) == expected
 
-    @pytest.mark.parametrize("mode", ["--one-off", "--instance-only"])
+    @pytest.mark.parametrize("mode", ["--one-off", "--instance-only", None])
     def test_selected_count_is_what_training_used(self, blob_file, tmp_path, capsys, mode):
+        # inspect reads the plans training wrote, so its selected and consistent counts
+        # are those of each round's metrics records
         out = tmp_path / "run"
         assert run(
             "train", "--data", blob_file, "--rounds", 4, "--epochs", 1, "--init-epochs", 1,
-            "--layers", "24,8", mode, "--out", out,
+            "--layers", "24,8", *([mode] if mode else []), "--out", out,
         ) == 0
         records = [json.loads(line) for line in (out / "metrics.jsonl").read_text().splitlines()]
-        fraction = {rec["round"]: rec["selected_fraction"] for rec in records}
-        for r in (1, 4):
+        by_round = {rec["round"]: rec for rec in records}
+        ckpt = ["--checkpoint", out / "checkpoint.andc", "--data", blob_file]
+        for r in (1, 2, 3, 4, None):
             capsys.readouterr()
-            assert run("inspect", "--checkpoint", out / "checkpoint.andc", "--round", r) == 0
-            rows = capsys.readouterr().out.splitlines()[1:]
-            assert sum(int(row.split(",")[3]) for row in rows) == 100 * fraction[r], (mode, r)
+            assert run("inspect", *ckpt, *(["--round", r] if r else [])) == 0
+            rec = by_round[r or 4]
+            rows = [row.split(",") for row in capsys.readouterr().out.splitlines()[1:]]
+            selected = [row for row in rows if row[3] == "1"]
+            assert len(selected) == 100 * rec["selected_fraction"], (mode, r)
+            consistent = sum(int(row[4]) for row in selected)
+            assert consistent == rec["consistent_count"], (mode, r)
+            assert len(selected) - consistent == rec["inconsistent_count"], (mode, r)
+
+    def test_without_plans_file_replans_with_a_note(self, run_dir, blob_file, tmp_path, capsys):
+        import shutil
+
+        from andkit.pipeline import load_checkpoint, plan_record, plan_round, save_plans
+
+        bare = tmp_path / "bare"
+        bare.mkdir()
+        shutil.copy(run_dir / "checkpoint.andc", bare)
+        ckpt = load_checkpoint(bare / "checkpoint.andc")
+        # the same checkpoint with plans re-planned on its final bank: the CSV inspect
+        # wrote before it read plans files
+        replanned = tmp_path / "replanned"
+        replanned.mkdir()
+        shutil.copy(run_dir / "checkpoint.andc", replanned)
+        plans = [plan_record(plan_round(ckpt.bank, ckpt.config, r)) for r in (1, 2, 3, 4)]
+        save_plans(plans, ckpt.bank.n, ckpt.config.k, ckpt.crc32, replanned / "plans.andp")
+        for r in (1, 3):
+            capsys.readouterr()
+            args = ("--data", blob_file, "--round", r)
+            assert run("inspect", "--checkpoint", bare / "checkpoint.andc", *args) == 0
+            got = capsys.readouterr()
+            assert "note: no" in got.err and "re-planning round" in got.err
+            assert run("inspect", "--checkpoint", replanned / "checkpoint.andc", *args) == 0
+            expected = capsys.readouterr()
+            assert got.out == expected.out and expected.err == ""
+
+    def test_malformed_plans_file_rejected(self, run_dir, blob_file, tmp_path, capsys):
+        import shutil
+        import struct
+
+        from andkit.errors import FormatError
+        from andkit.pipeline import load_checkpoint, load_plan
+
+        n, k, rounds, head = 100, 1, 4, 22  # head: magic, u16 version, u32 n, k, rounds, crc
+        record = 8 * n + 13 + 4 * n * (k + 1)
+        good = (run_dir / "plans.andp").read_bytes()
+        assert len(good) == head + rounds * record
+        at = head + (3 - 1) * record  # round 3, the round inspected below
+        members = at + 8 * n + 13
+
+        def patched(offset, fmt, value):
+            blob = bytearray(good)
+            struct.pack_into(fmt, blob, offset, value)
+            return bytes(blob)
+
+        cases = {
+            "truncated": good[:-1],
+            "truncated header": good[:head - 1],
+            "bad magic": b"XNDP" + good[4:],
+            "wrong version": patched(4, "<H", 2),
+            "trailing bytes": good + b"\0",
+            "member beyond n": patched(members + 4 * 7, "<i", n),
+            "negative member": patched(members + 4 * 7, "<i", -1),
+            "anchor not first": patched(members + 4 * 2 * (k + 1), "<i", 5),
+            "NaN entropy": patched(at + 8 * 9, "<d", math.nan),
+            "infinite entropy": patched(at, "<d", math.inf),
+            "padding bit": patched(at + 8 * n + 12, "<B", good[at + 8 * n + 12] | 0x80),
+            "n mismatch": patched(6, "<I", n + 1),
+            "k mismatch": patched(10, "<I", k + 1),
+            "rounds mismatch": patched(14, "<I", rounds - 1),
+            "crc mismatch": patched(18, "<I", struct.unpack_from("<I", good, 18)[0] ^ 1),
+        }
+        ckpt_dir = tmp_path / "run"
+        ckpt_dir.mkdir()
+        shutil.copy(run_dir / "checkpoint.andc", ckpt_dir)
+        ckpt = load_checkpoint(ckpt_dir / "checkpoint.andc")
+        table = tmp_path / "inspect.csv"
+        for name, blob in cases.items():
+            assert blob != good, name
+            (ckpt_dir / "plans.andp").write_bytes(blob)
+            with pytest.raises(FormatError):
+                load_plan(ckpt_dir / "plans.andp", ckpt, 3)
+            capsys.readouterr()
+            args = ("--data", blob_file, "--round", 3, "--out", table)
+            assert run("inspect", "--checkpoint", ckpt_dir / "checkpoint.andc", *args) == 1, name
+            assert capsys.readouterr().err.startswith("error: "), name
+            assert not table.exists(), name
 
     def test_round_out_of_range_is_usage_error(self, run_dir):
         assert run(

@@ -1,4 +1,5 @@
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from andkit.data import (
     make_batches,
     save_bin,
     save_csv,
+    write_atomic,
 )
 from andkit.errors import ConfigurationError, FormatError, ParseError
 from andkit.numerics import SeededRng
@@ -192,6 +194,34 @@ class TestBinRoundTrip:
         path.write_bytes(path.read_bytes()[:-5])
         with pytest.raises(FormatError):
             load_bin(path)
+
+
+class TestWriteAtomic:
+    def test_writes_and_replaces(self, tmp_path):
+        path = tmp_path / "out.bin"
+        write_atomic(path, b"first")
+        write_atomic(path, b"second")
+        assert path.read_bytes() == b"second"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.bin"]
+
+    def test_failed_replace_keeps_the_old_file_and_no_temporary(self, tmp_path, monkeypatch):
+        import os
+
+        path = tmp_path / "out.bin"
+        path.write_bytes(b"old")
+
+        def fail(src, dst):
+            assert Path(src).read_bytes() == b"new" and Path(src).parent == tmp_path
+            raise OSError("disk gone")
+
+        monkeypatch.setattr(os, "replace", fail)
+        with pytest.raises(OSError, match="disk gone"):
+            write_atomic(path, b"new")
+        assert path.read_bytes() == b"old"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.bin"]
+        with pytest.raises(OSError):
+            write_atomic(tmp_path / "fresh.bin", b"new")
+        assert [p.name for p in tmp_path.iterdir()] == ["out.bin"]
 
 
 class TestMakeBatches:

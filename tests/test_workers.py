@@ -88,6 +88,19 @@ class TestWorkerInvariance:
     def test_build_neighbourhoods(self, monkeypatch, n, k):
         assert_worker_invariant(monkeypatch, build_neighbourhoods, dyadic_bank(n, 61), k)
 
+    @pytest.mark.parametrize("k", [1, 10])
+    def test_build_neighbourhoods_on_copied_rows(self, monkeypatch, n, k):
+        # five copies of each row: every row's k-th score ties beyond k entries
+        features = np.tile(dyadic_matrix(-(-n // 5), 8, seed=67), (5, 1))[:n]
+        scores = features @ features.T
+        np.fill_diagonal(scores, -np.inf)
+        oracle = np.argsort(-scores, axis=1, kind="stable")[:, :k]
+        bank = FeatureBank(features=features)
+        for workers in (1, 2, 3):
+            got = at_workers(monkeypatch, workers, build_neighbourhoods, bank, k)
+            np.testing.assert_array_equal(got[:, 0], np.arange(n))
+            np.testing.assert_array_equal(got[:, 1:], oracle, err_msg=f"{workers} workers")
+
     def test_knn_predict_batch(self, monkeypatch, n):
         bank = dyadic_bank(n, 62)
         labels = np.floor(SeededRng(63).uniforms(n) * 4).astype(np.int64)
