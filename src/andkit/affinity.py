@@ -11,12 +11,15 @@ class-pure neighbourhood, while a flat row marks a crowded, ambiguous one.
 
 Every N x N score matrix is computed in row blocks (`row_blocks`), so
 planning, kNN evaluation and `inspect` hold O(ROW_BLOCK * N) scores at a
-time, and `top_k` selects by partition rather than a full sort. The blocks
-run on every CPU in the process's affinity mask (`taskset` limits them),
-each worker in its own contiguous span of query rows, into score buffers
-that the calling thread allocates once per call. Every output row depends
-only on its own row of scores, and no block is shorter than MIN_ROWS rows,
-so the bytes do not depend on the worker count.
+time. `top_k` selects by partition rather than a full sort, and on a wide
+row it first keeps only the columns that a bound from group maxima cannot
+rule out (about sqrt(N * k) of them), so the kNN and neighbourhood passes
+hold no N-wide array beside the scores. The blocks run on every CPU in the
+process's affinity mask (`taskset` limits them), each worker in its own
+contiguous span of query rows, into score buffers that the calling thread
+allocates once per call. Every output row depends only on its own row of
+scores, and no block is shorter than MIN_ROWS rows, so the bytes do not
+depend on the worker count.
 
 All log/entropy values use the natural logarithm; only the entropy ordering
 matters for curriculum selection, so the base is a free choice.
@@ -24,6 +27,7 @@ matters for curriculum selection, so the base is a free choice.
 
 from __future__ import annotations
 
+import math
 import os
 import threading
 
@@ -34,8 +38,10 @@ from .memory import FeatureBank, all_similarities
 from .numerics import stable_softmax
 
 # query rows of scores in flight per call, shared among the workers; at N = 5000
-# (d = 16, one BLAS thread, one worker) plan plus kNN ran within 10% for 128-512
-# rows and about 40% slower at 1024
+# (d = 16, k = 10, one BLAS thread) plan plus kNN ran within 7% for 128-512 rows
+# and 28% slower at 1024 with one worker, within 2% for 256-512 with two; the
+# entropy pass moves, the narrowed top-k and kNN passes stay within 4% of each
+# other from 128 rows up
 ROW_BLOCK = 256
 # fewest rows in a block, bar a query matrix with fewer: OpenBLAS takes a
 # matrix-vector path for one row, and on x86-64 it rounded blocks of 2-11
@@ -43,6 +49,11 @@ ROW_BLOCK = 256
 # from 300 to 5001), so only blocks this tall keep a row's scores the same
 # bits whatever the worker count
 MIN_ROWS = 32
+# top_k narrows a row to candidate columns only where it holds at least this
+# many columns per wanted one; on (128, m) blocks with k = 10 (one Xeon core)
+# the narrowing took m = 400 from 0.39 to 0.49 ms, m = 640 from 0.74 to 0.52
+# and m = 5000 from 4.1 to 1.5
+PREFILTER = 64
 
 
 def prob_row(query, bank: FeatureBank, tau: float) -> np.ndarray:
@@ -60,10 +71,12 @@ def _cpus() -> int:
         return os.cpu_count() or 1
 
 
-def row_blocks(queries: np.ndarray, keys: np.ndarray, fn, exclude_self: bool = False) -> None:
-    """Call fn(start, scores, aux, mask) on every row block of queries @ keys.T.
+def row_blocks(queries: np.ndarray, keys: np.ndarray, fn, exclude_self: bool = False,
+               scratch: bool = False) -> None:
+    """Call fn(start, scores) on every row block of queries @ keys.T.
 
-    `scores` holds queries[start:start + len(scores)] @ keys.T; `aux` (float64)
+    `scores` holds queries[start:start + len(scores)] @ keys.T; with `scratch`,
+    the call is fn(start, scores, aux, mask), where `aux` (float64)
     and `mask` (bool) are scratch blocks of the same shape for `fn` to use. The
     query rows are cut into one contiguous span per worker, each span into
     near-equal blocks of at most ROW_BLOCK // workers rows, so ROW_BLOCK rows
@@ -83,13 +96,14 @@ def row_blocks(queries: np.ndarray, keys: np.ndarray, fn, exclude_self: bool = F
     workers = max(1, min(_cpus(), ROW_BLOCK // (2 * MIN_ROWS), n // MIN_ROWS))
     height = max(1, min(ROW_BLOCK // workers, n))
     bounds = [n * w // workers for w in range(workers + 1)]
-    # one scores, aux and mask block per span, allocated here before any worker starts
+    # each span's scores block, then any aux and mask, allocated here before any worker starts
+    dtypes = (np.float64, np.float64, bool) if scratch else (np.float64,)
     spans = [
-        (lo, hi, np.empty((height, m)), np.empty((height, m)), np.empty((height, m), dtype=bool))
+        (lo, hi, *(np.empty((height, m), dtype=dtype) for dtype in dtypes))
         for lo, hi in zip(bounds, bounds[1:])
     ]
 
-    def walk(lo, hi, scores, aux, mask) -> None:
+    def walk(lo, hi, scores, *extra) -> None:
         count = -(-(hi - lo) // height)
         for b in range(count):
             start, stop = lo + (hi - lo) * b // count, lo + (hi - lo) * (b + 1) // count
@@ -98,7 +112,7 @@ def row_blocks(queries: np.ndarray, keys: np.ndarray, fn, exclude_self: bool = F
             if exclude_self:
                 rows = np.arange(stop - start)
                 block[rows, start + rows] = -np.inf
-            fn(start, block, aux[:stop - start], mask[:stop - start])
+            fn(start, block, *(buf[:stop - start] for buf in extra))
 
     if workers == 1:
         walk(*spans[0])
@@ -125,28 +139,19 @@ def row_blocks(queries: np.ndarray, keys: np.ndarray, fn, exclude_self: bool = F
         raise errors[0]
 
 
-def top_k(scores: np.ndarray, k: int, aux=None, mask=None) -> np.ndarray:
-    """Column indices of the k largest scores in each row, best first.
+def _select(scores: np.ndarray, k: int) -> np.ndarray:
+    """Positions of the k largest scores in each row, best first, ties to the lower position.
 
-    Equal scores keep ascending index order; this is the one tie rule used
-    by planning, kNN evaluation and `inspect`, so runs are reproducible.
-    The result equals ``np.argsort(-scores, axis=1, kind="stable")[:, :k]``:
-    a partition finds each row's k-th largest score and the entries at or
+    A partition finds each row's k-th largest score and the entries at or
     above it are sorted. A row whose k-th score ties beyond k entries sorts
     only those entries; a row with fewer than k of them, which only a NaN
     makes (the partition ranks NaN largest, the sort smallest), is sorted
-    whole. `aux` (float64) and `mask` (bool), blocks of the scores' shape,
-    take the partitioned copy and the at-or-above mask; without them both
-    are allocated here.
+    whole.
     """
     rows, m = scores.shape
-    if not 1 <= k <= m:
-        raise ConfigurationError(f"k must lie in [1, {m}], got {k}")
-    aux = np.empty_like(scores) if aux is None else aux
-    mask = np.empty(scores.shape, dtype=bool) if mask is None else mask
-    np.copyto(aux, scores)
+    aux = scores.copy()
     aux.partition(m - k, axis=1)
-    np.greater_equal(scores, aux[:, m - k, None], out=mask)
+    mask = scores >= aux[:, m - k, None]
     counts = mask.sum(axis=1)
     out = np.empty((rows, k), dtype=np.intp)
     # nonzero lists each row's columns in ascending order, so a stable sort
@@ -171,6 +176,65 @@ def top_k(scores: np.ndarray, k: int, aux=None, mask=None) -> np.ndarray:
     return out
 
 
+def _candidates(scores: np.ndarray, k: int) -> np.ndarray:
+    """Flat indices into `scores` of each row's candidates for its top k, in ascending order.
+
+    The groups and the bound are those that `top_k` describes; every row
+    takes as many groups as the row that keeps the most.
+    """
+    rows, m = scores.shape
+    slices = math.isqrt(m // k)
+    width = m // slices
+    head = slices * width
+    maxima = scores[:, :head].reshape(rows, slices, width).max(axis=1)
+    bound = np.partition(maxima, width - k, axis=1)[:, width - k]
+    drop = maxima < bound[:, None]
+    drop[np.isnan(maxima).any(axis=1)] = False
+    kept = width - int(drop.sum(axis=1).min())
+    # kept groups key below dropped ones; of the dropped, the lowest-numbered fill the row
+    key = width * drop
+    key += np.arange(width)
+    groups = np.sort(np.partition(key, kept - 1, axis=1)[:, :kept], axis=1) % width
+    starts = m * np.arange(rows)[:, None]
+    flat = groups[:, None, :] + (starts[:, :, None] + np.arange(0, head, width)[:, None])
+    return np.concatenate([flat.reshape(rows, -1), starts + np.arange(head, m)], axis=1)
+
+
+def top_k(scores: np.ndarray, k: int) -> np.ndarray:
+    """Column indices of the k largest scores in each row, best first.
+
+    Equal scores keep ascending index order; this is the one tie rule used
+    by planning, kNN evaluation and `inspect`, so runs are reproducible.
+    The result equals ``np.argsort(-scores, axis=1, kind="stable")[:, :k]``.
+
+    Where a row holds at least PREFILTER columns per wanted one, a bound
+    first narrows it to about sqrt(m * k) candidate columns. The first g * G
+    columns, g = isqrt(m // k) and G = m // g, form G groups: group c holds
+    columns c, c + G, c + 2G, ..., so the group maxima are one elementwise
+    max over g strided slices. The k-th largest group maximum is at most the
+    row's k-th largest score, since the k largest group maxima are k
+    distinct entries. So every score at or above the k-th, ties included,
+    lies in a group whose maximum reaches that bound, or among the < g tail
+    columns past g * G. Where another row of the block keeps more groups, a
+    row also takes some whose every score is below its bound, which
+    therefore never rank. The candidates keep ascending column order, so
+    the selection on their scores keeps the tie rule. A row whose group
+    maxima hold a NaN keeps every group, so it takes the selection on all
+    its columns and that selection's NaN rule.
+
+    The selection (`_select`) partitions for each row's k-th largest score
+    and sorts the entries at or above it.
+    """
+    rows, m = scores.shape
+    if not 1 <= k <= m:
+        raise ConfigurationError(f"k must lie in [1, {m}], got {k}")
+    if m < PREFILTER * k or rows == 0:
+        return _select(scores, k)
+    flat = _candidates(scores, k)
+    picked = _select(np.ascontiguousarray(scores).take(flat), k)
+    return np.take_along_axis(flat, picked, axis=1) - m * np.arange(rows)[:, None]
+
+
 def build_neighbourhoods(bank: FeatureBank, k: int) -> np.ndarray:
     """Exact top-k cosine member array, shape (n, k+1), for every bank row.
 
@@ -186,8 +250,8 @@ def build_neighbourhoods(bank: FeatureBank, k: int) -> np.ndarray:
     if k == 0:
         return members
 
-    def block(start, scores, aux, mask):
-        members[start:start + scores.shape[0], 1:] = top_k(scores, k, aux, mask)
+    def block(start, scores):
+        members[start:start + scores.shape[0], 1:] = top_k(scores, k)
 
     row_blocks(bank.features, bank.features, block, exclude_self=True)
     return members

@@ -118,14 +118,13 @@ def generate_blobs(spec: BlobSpec) -> Dataset:
 
 
 def save_csv(dataset: Dataset, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        header = "label," + ",".join(f"f{j}" for j in range(dataset.dim))
-        fh.write(header + "\n")
-        labels = dataset.labels
-        for i in range(dataset.n):
-            label = -1 if labels is None else int(labels[i])
-            cells = ",".join(repr(float(v)) for v in dataset.inputs[i])
-            fh.write(f"{label},{cells}\n")
+    """Write `dataset` as ``label,f0,...`` text, whole or not at all (`write_atomic`)."""
+    labels = dataset.labels
+    lines = ["label," + ",".join(f"f{j}" for j in range(dataset.dim))]
+    for i in range(dataset.n):
+        label = -1 if labels is None else int(labels[i])
+        lines.append(f"{label}," + ",".join(repr(float(v)) for v in dataset.inputs[i]))
+    write_atomic(path, ("\n".join(lines) + "\n").encode("utf-8"))
 
 
 def write_atomic(path, data: bytes) -> None:
@@ -200,12 +199,15 @@ def load_csv(path) -> Dataset:
 
 
 def save_bin(dataset: Dataset, path) -> None:
+    """Write `dataset` in the binary format, whole or not at all (`write_atomic`)."""
     has_labels = dataset.labels is not None
-    with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(_MAGIC, _VERSION, int(has_labels), 0, dataset.n, dataset.dim))
-        fh.write(np.ascontiguousarray(dataset.inputs, dtype="<f4").tobytes())
-        if has_labels:
-            fh.write(np.ascontiguousarray(dataset.labels, dtype="<i4").tobytes())
+    parts = [
+        _HEADER.pack(_MAGIC, _VERSION, int(has_labels), 0, dataset.n, dataset.dim),
+        np.ascontiguousarray(dataset.inputs, dtype="<f4").tobytes(),
+    ]
+    if has_labels:
+        parts.append(np.ascontiguousarray(dataset.labels, dtype="<i4").tobytes())
+    write_atomic(path, b"".join(parts))
 
 
 def load_bin(path) -> Dataset:

@@ -87,8 +87,7 @@ def knn_predict_batch(
     best score, exp((s - s_max) / tau), so a small tau cannot overflow them.
     Scores are computed in row blocks on every CPU in the affinity mask
     (`affinity.row_blocks`), so the whole query x bank matrix is never
-    held; each block's top k is taken in that call's scratch buffers, and
-    the votes do not depend on the worker count.
+    held, and the votes do not depend on the worker count.
     """
     if not (math.isfinite(tau) and tau > 0):
         raise ConfigurationError(f"tau must be a finite number > 0, got {tau}")
@@ -105,8 +104,8 @@ def knn_predict_batch(
     top = np.empty((feats.shape[0], k_eval), dtype=np.intp)
     top_sims = np.empty((feats.shape[0], k_eval))
 
-    def block(start, scores, aux, mask):
-        block_top = top_k(scores, k_eval, aux, mask)
+    def block(start, scores):
+        block_top = top_k(scores, k_eval)
         top[start:start + scores.shape[0]] = block_top
         top_sims[start:start + scores.shape[0]] = np.take_along_axis(scores, block_top, axis=1)
 

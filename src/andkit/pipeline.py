@@ -250,7 +250,7 @@ def bank_entropies(bank: FeatureBank, tau: float) -> np.ndarray:
         probs = stable_softmax(scores, out=scores)
         out[start:start + scores.shape[0]] = entropy_rows(probs, aux, mask)
 
-    row_blocks(bank.features, bank.features, block)
+    row_blocks(bank.features, bank.features, block, scratch=True)
     return out
 
 

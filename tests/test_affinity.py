@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from andkit.affinity import (
+    PREFILTER,
     ROW_BLOCK,
+    _select,
     build_neighbourhoods,
     entropy,
     entropy_rows,
@@ -14,11 +16,12 @@ from andkit.affinity import (
     top_k,
 )
 from andkit.errors import ConfigurationError, ContractError
+from andkit.evaluation import knn_predict_batch
 from andkit.losses import neighbourhood_term
 from andkit.memory import FeatureBank
 from andkit.numerics import SeededRng, stable_softmax
 
-from conftest import dense_entropy_rows, dyadic_matrix, random_bank, random_unit
+from conftest import dense_entropy_rows, dyadic_matrix, random_bank, random_unit, traced_peak
 
 
 def three_row_bank():
@@ -156,6 +159,87 @@ class TestTopK:
             with pytest.raises(ConfigurationError):
                 top_k(np.zeros((2, 3)), k)
 
+    def test_no_rows(self):
+        for m, k in ((3, 2), (5000, 10)):
+            assert top_k(np.zeros((0, m)), k).shape == (0, k)
+
+    @staticmethod
+    def assert_stable_argsort(scores, ks):
+        oracle = np.argsort(-scores, axis=1, kind="stable")
+        for k in ks:
+            np.testing.assert_array_equal(top_k(scores, k), oracle[:, :k], err_msg=f"k={k}")
+
+    @pytest.mark.parametrize("m", [5000, 20000])
+    def test_matches_stable_argsort_on_wide_rows(self, m):
+        # 5000 and 20000 are no multiple of their group widths (227 and 454), so
+        # every row has tail columns outside the groups
+        assert m % (m // math.isqrt(m // 10)) and m >= PREFILTER * 10
+        queries = random_bank(24, 16, seed=m).features
+        scores = queries @ random_bank(m, 16, seed=m + 1).features.T
+        scores[::3, ::7] = -np.inf
+        self.assert_stable_argsort(scores, (1, 10, m - 1, m))
+
+    def test_ties_straddle_groups(self):
+        # a bank of 20 copies: each row's best score ties 20 ways, one copy every
+        # 250 columns, so the ties fall in many groups; beyond them, the few
+        # distinct dyadic scores tie across groups and the tail
+        bank = np.tile(dyadic_matrix(250, 8, seed=14), (20, 1))
+        scores = bank[:64] @ bank.T
+        scores[np.arange(64), np.arange(64)] = -np.inf
+        self.assert_stable_argsort(scores, (1, 10, 25, 78))
+        # rounded cosines: at most 201 distinct values over 6000 columns
+        queries, keys = random_bank(32, 8, seed=15).features, random_bank(6000, 8, seed=16).features
+        rounded = np.round(queries @ keys.T, 2)
+        self.assert_stable_argsort(rounded, (1, 5, 10, 90))
+
+    def test_minus_inf_diagonal(self):
+        features = random_bank(3000, 8, seed=17).features
+        scores = features @ features.T
+        np.fill_diagonal(scores, -np.inf)
+        self.assert_stable_argsort(scores[:200], (1, 10, 46))
+        # rows that are -inf but for a few columns rank those few first, then -inf by index
+        sparse = np.full((4, 3000), -np.inf)
+        sparse[:, [2999, 5, 1700]] = 1.0
+        self.assert_stable_argsort(sparse, (1, 3, 10))
+
+    def test_nan_rows_take_the_all_columns_selection(self):
+        # 4003 columns: for k = 1, 10 and 50 the last three are tail columns
+        wide = random_bank(40, 8, seed=18).features @ random_bank(4003, 8, seed=19).features.T
+        wide[3, 17] = np.nan  # in a group
+        wide[5, 4001] = np.nan  # in the tail: the row is still narrowed
+        wide[21, :3900] = np.nan  # a row of mostly NaN
+        narrow = dyadic_matrix(40, 6, seed=70) @ dyadic_matrix(90, 6, seed=71).T
+        narrow[3, 17] = np.nan
+        for scores, ks in ((wide, (1, 10, 50)), (narrow, (1, 5, 90))):
+            scores[11] = np.nan
+            scores[20, ::3] = -np.inf
+            oracle = np.argsort(-scores, axis=1, kind="stable")
+            for k in ks:
+                expected = _select(scores, k)  # the selection on every column
+                np.testing.assert_array_equal(top_k(scores, k), expected, err_msg=f"k={k}")
+                np.testing.assert_array_equal(expected, oracle[:, :k], err_msg=f"k={k}")
+                # one row a block: no other row's groups widen its candidates
+                for i in range(len(scores)):
+                    np.testing.assert_array_equal(
+                        top_k(scores[i:i + 1], k), expected[i:i + 1], err_msg=f"row {i}, k={k}"
+                    )
+
+    @given(
+        st.integers(min_value=0, max_value=2**31),
+        st.integers(min_value=1, max_value=6),
+        st.integers(min_value=1, max_value=400),
+        st.integers(min_value=1, max_value=6),
+        st.floats(min_value=0, max_value=1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_stable_argsort_on_tie_heavy_rows(self, seed, rows, m, levels, k_share):
+        # most k here are far below m, so most examples narrow their rows first
+        rng = SeededRng(seed)
+        scores = np.floor(rng.uniforms((rows, m)) * levels)
+        scores[rng.uniforms((rows, m)) < 0.1] = -np.inf
+        k = 1 + int(k_share**4 * (m - 1))
+        self.assert_stable_argsort(scores, (k,))
+
 
 class TestBlockwiseExactness:
     """Row-blocked search equals the full N x N computation across block edges."""
@@ -170,6 +254,27 @@ class TestBlockwiseExactness:
         for k in (1, 10, n - 1):
             expected = np.concatenate([anchors, order[:, :k]], axis=1)
             np.testing.assert_array_equal(build_neighbourhoods(bank, k), expected)
+
+
+class TestPeakMemory:
+    """The kNN and neighbourhood passes hold the score blocks and no other N-wide array."""
+
+    N = 4000
+
+    def budget(self):
+        return 1.5 * 8 * ROW_BLOCK * self.N
+
+    def test_build_neighbourhoods(self):
+        bank = random_bank(self.N, 16, seed=25)
+        assert traced_peak(build_neighbourhoods, bank, 10) < self.budget()
+
+    def test_knn_predict_batch(self):
+        bank = random_bank(self.N, 16, seed=26)
+        labels = np.arange(self.N) % 4
+        peak = traced_peak(
+            lambda: knn_predict_batch(bank.features, bank, labels, leave_one_out=True)
+        )
+        assert peak < self.budget()
 
 
 class TestEntropy:

@@ -199,6 +199,24 @@ class TestGenerate:
             "--layers", "8,4", "--out", tmp_path / "r",
         ) == 0
 
+    @pytest.mark.parametrize("name", ["blobs.ands", "blobs.csv"])
+    def test_failed_replace_keeps_the_earlier_file(self, tmp_path, monkeypatch, capsys, name):
+        import os
+
+        path = tmp_path / name
+        args = ("generate", "--classes", 2, "--per-class", 5, "--dim", 4, "--out", path)
+        assert run(*args, "--seed", 1) == 0
+        earlier = path.read_bytes()
+
+        def replace(src, dst):
+            raise OSError("replace failed")
+
+        monkeypatch.setattr(os, "replace", replace)
+        assert run(*args, "--seed", 2) == 1
+        assert "replace failed" in capsys.readouterr().err
+        assert path.read_bytes() == earlier
+        assert [p.name for p in tmp_path.iterdir()] == [name]
+
 
 class TestTrain:
     def test_outputs_exist(self, run_dir):

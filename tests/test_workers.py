@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from andkit import affinity
-from andkit.affinity import MIN_ROWS, ROW_BLOCK, build_neighbourhoods, row_blocks, top_k
+from andkit.affinity import MIN_ROWS, PREFILTER, ROW_BLOCK, build_neighbourhoods, row_blocks
 from andkit.evaluation import knn_predict_batch
 from andkit.losses import round_batch_loss
 from andkit.memory import FeatureBank
@@ -55,10 +55,11 @@ class TestSpans:
 
         def record(start, scores, aux, mask):
             assert scores.shape == aux.shape == mask.shape == (scores.shape[0], 50)
+            assert aux.dtype == np.float64 and mask.dtype == bool
             np.testing.assert_array_equal(scores, queries[start:start + len(scores)] @ keys.T)
             seen.append((start, scores.shape[0], threading.current_thread()))
 
-        at_workers(monkeypatch, workers, row_blocks, queries, keys, record)
+        at_workers(monkeypatch, workers, row_blocks, queries, keys, record, scratch=True)
         covered = np.concatenate([np.arange(start, start + rows) for start, rows, _ in seen])
         np.testing.assert_array_equal(np.sort(covered), np.arange(n))
         used = min(workers, max(1, n // MIN_ROWS))
@@ -70,7 +71,7 @@ class TestSpans:
         assert min(r for _, r, _ in seen) >= min(n, MIN_ROWS)
 
     def test_worker_error_propagates(self, monkeypatch):
-        def fail(start, scores, aux, mask):
+        def fail(start, scores):
             if start:
                 raise ValueError("block failed")
 
@@ -123,18 +124,32 @@ class TestWorkerInvariance:
         assert_worker_invariant(monkeypatch, loss_and_grads)
 
 
-class TestScratchBuffers:
-    def test_top_k_with_and_without_buffers(self):
-        scores = dyadic_matrix(40, 6, seed=70) @ dyadic_matrix(90, 6, seed=71).T
-        scores[3, 17] = np.nan
-        scores[11] = np.nan
-        scores[20, ::3] = -np.inf
-        oracle = np.argsort(-scores, axis=1, kind="stable")
-        aux, mask = np.full(scores.shape, np.nan), np.ones(scores.shape, dtype=bool)  # stale
-        for k in (1, 5, 90):
-            np.testing.assert_array_equal(top_k(scores, k), oracle[:, :k])
-            np.testing.assert_array_equal(top_k(scores, k, aux, mask), oracle[:, :k])
+class TestPrefilteredRows:
+    """At n = 2000 and k = 10 top_k narrows each row to candidate columns first."""
 
+    N = 2000
+
+    def test_rows_are_wide_enough_to_narrow(self):
+        assert self.N >= PREFILTER * 10
+
+    def test_build_neighbourhoods(self, monkeypatch):
+        bank = dyadic_bank(self.N, 68)
+        assert_worker_invariant(monkeypatch, build_neighbourhoods, bank, 10)
+        scores = bank.features @ bank.features.T
+        np.fill_diagonal(scores, -np.inf)
+        oracle = np.argsort(-scores, axis=1, kind="stable")[:, :10]
+        np.testing.assert_array_equal(build_neighbourhoods(bank, 10)[:, 1:], oracle)
+
+    def test_knn_predict_batch(self, monkeypatch):
+        bank = dyadic_bank(self.N, 69)
+        labels = np.floor(SeededRng(70).uniforms(self.N) * 4).astype(np.int64)
+        assert_worker_invariant(
+            monkeypatch, knn_predict_batch, bank.features, bank, labels, leave_one_out=True
+        )
+        assert_worker_invariant(monkeypatch, knn_predict_batch, bank.features[:300], bank, labels)
+
+
+class TestScratchBuffers:
     @pytest.mark.parametrize("b", [128, 37])  # a full batch and a short last one
     def test_round_batch_loss_with_and_without_work(self, b):
         bank = random_bank(300, 8, seed=72)
