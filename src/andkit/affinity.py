@@ -14,12 +14,14 @@ planning, kNN evaluation and `inspect` hold O(ROW_BLOCK * N) scores at a
 time. `top_k` selects by partition rather than a full sort, and on a wide
 row it first keeps only the columns that a bound from group maxima cannot
 rule out (about sqrt(N * k) of them), so the kNN and neighbourhood passes
-hold no N-wide array beside the scores. The blocks run on every CPU in the
-process's affinity mask (`taskset` limits them), each worker in its own
-contiguous span of query rows, into score buffers that the calling thread
+hold no N-wide array beside the scores. The blocks run on up to two CPUs of
+the process's affinity mask (`taskset` limits them), each worker walking its
+own contiguous run of blocks, into score buffers that the calling thread
 allocates once per call. Every output row depends only on its own row of
-scores, and no block is shorter than MIN_ROWS rows, so the bytes do not
-depend on the worker count.
+scores, and the blocks are cut by the row count alone, never shorter than
+MIN_ROWS rows, so the bytes do not depend on the worker count. `Workers`,
+the helper threads that run the spans of a job beside the calling thread,
+serves both these blocks and the batch loss's row spans (`losses`).
 
 All log/entropy values use the natural logarithm; only the entropy ordering
 matters for curriculum selection, so the base is a free choice.
@@ -27,6 +29,7 @@ matters for curriculum selection, so the base is a free choice.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import threading
@@ -37,17 +40,20 @@ from .errors import ConfigurationError
 from .memory import FeatureBank, all_similarities
 from .numerics import stable_softmax
 
-# query rows of scores in flight per call, shared among the workers; at N = 5000
-# (d = 16, k = 10, one BLAS thread) plan plus kNN ran within 7% for 128-512 rows
-# and 28% slower at 1024 with one worker, within 2% for 256-512 with two; the
+# query rows of scores in flight per call: blocks of at most ROW_BLOCK // 2
+# rows, one per worker, so at most two workers. At N = 5000 (d = 16, k = 10,
+# one BLAS thread) plan plus kNN ran within 7% for 128-512 rows in flight and
+# 28% slower at 1024 with one worker, within 2% for 256-512 with two; the
 # entropy pass moves, the narrowed top-k and kNN passes stay within 4% of each
 # other from 128 rows up
 ROW_BLOCK = 256
-# fewest rows in a block, bar a query matrix with fewer: OpenBLAS takes a
-# matrix-vector path for one row, and on x86-64 it rounded blocks of 2-11
-# rows differently from taller ones (d = 4 and 16, most bank sizes tried
-# from 300 to 5001), so only blocks this tall keep a row's scores the same
-# bits whatever the worker count
+# fewest rows in a row block, bar a query matrix with fewer, and in a span of
+# the batch loss: OpenBLAS takes a matrix-vector path for one row, and on
+# x86-64 it rounded blocks of 2-11 rows differently from taller ones (d = 4
+# and 16, most bank sizes tried from 300 to 5001). Where the bank's row count
+# is not a multiple of 8 it also rounded a 128-row block differently from the
+# same rows cut into 64- or 32-row blocks (N = 513, 700, 1000, 2500, 9999),
+# so `row_blocks` cuts its grid by the row count alone, never by the workers
 MIN_ROWS = 32
 # top_k narrows a row to candidate columns only where it holds at least this
 # many columns per wanted one; on (128, m) blocks with k = 10 (one Xeon core)
@@ -71,6 +77,97 @@ def _cpus() -> int:
         return os.cpu_count() or 1
 
 
+def worker_spans(n: int, most: int) -> list[tuple[int, int]]:
+    """Near-equal contiguous spans [lo, hi) that cover range(n) in order.
+
+    One span per CPU in the affinity mask, but at most `most` and `n`, and at
+    least one.
+    """
+    parts = max(1, min(_cpus(), most, n))
+    edges = [n * s // parts for s in range(parts + 1)]
+    return list(zip(edges, edges[1:]))
+
+
+class Workers:
+    """Helper threads that run the spans of one job beside the calling thread.
+
+    `run(tasks)` calls every task once, the first in the calling thread and
+    each other one in a helper thread, and returns when all have returned;
+    an exception a task raises is raised again there. The helpers start on
+    first need and then wait for the next job, so a caller with many jobs
+    (the batch loss, every batch of a `train` run) pays for a thread's start
+    once; `close`, or leaving a `with` block, joins them. A helper drops its
+    task before it answers, so nothing a task holds (views of the caller's
+    buffers) outlives the job.
+    """
+
+    def __init__(self):
+        self._helpers: list[_Helper] = []
+
+    def __enter__(self) -> Workers:
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    def run(self, tasks) -> None:
+        helpers = len(tasks) - 1
+        while len(self._helpers) < helpers:
+            self._helpers.append(_Helper())
+        for helper, task in zip(self._helpers, tasks[1:]):
+            helper.start(task)
+        try:
+            tasks[0]()
+        finally:
+            errors = [helper.finish() for helper in self._helpers[:helpers]]
+        for error in errors:
+            if error is not None:
+                raise error
+
+    def close(self) -> None:
+        for helper in self._helpers:
+            helper.start(None)
+            helper.thread.join()
+        self._helpers.clear()
+
+
+class _Helper:
+    """One thread of `Workers`: it runs a task per `start`, until given None."""
+
+    def __init__(self):
+        self._task = None
+        self._error = None
+        self._todo = threading.Semaphore(0)
+        self._done = threading.Semaphore(0)
+        # a plain thread: threading is loaded with numpy anyway, while importing
+        # concurrent.futures cost 5.5 ms in every process that pools
+        self.thread = threading.Thread(target=self._loop, daemon=True)
+        self.thread.start()
+
+    def start(self, task) -> None:
+        self._task = task
+        self._todo.release()
+
+    def finish(self) -> BaseException | None:
+        """Wait for the task given last; return what it raised, or None."""
+        self._done.acquire()
+        error, self._error = self._error, None
+        return error
+
+    def _loop(self) -> None:
+        while True:
+            self._todo.acquire()
+            task, self._task = self._task, None
+            if task is None:
+                return
+            try:
+                task()
+            except BaseException as err:  # raised again in the calling thread by Workers.run
+                self._error = err
+            del task  # before answering: the caller may free what the task holds
+            self._done.release()
+
+
 def row_blocks(queries: np.ndarray, keys: np.ndarray, fn, exclude_self: bool = False,
                scratch: bool = False) -> None:
     """Call fn(start, scores) on every row block of queries @ keys.T.
@@ -78,35 +175,30 @@ def row_blocks(queries: np.ndarray, keys: np.ndarray, fn, exclude_self: bool = F
     `scores` holds queries[start:start + len(scores)] @ keys.T; with `scratch`,
     the call is fn(start, scores, aux, mask), where `aux` (float64)
     and `mask` (bool) are scratch blocks of the same shape for `fn` to use. The
-    query rows are cut into one contiguous span per worker, each span into
-    near-equal blocks of at most ROW_BLOCK // workers rows, so ROW_BLOCK rows
-    of scores are in flight whatever the worker count, and no block is shorter
-    than MIN_ROWS unless the queries are. The workers are the CPUs in the
-    affinity mask, capped so that each span and block keeps MIN_ROWS rows;
-    the calling thread walks the first span and one thread per other span
-    walks the rest, all joined before this returns (with one worker the
-    blocks run inline). `fn` runs on several threads at once and must
-    write only its own rows of any shared output; an exception it raises
-    is raised again here.
+    query rows are cut into near-equal blocks of at most ROW_BLOCK // 2 rows,
+    a grid that depends on the row count alone, so no block is shorter than
+    MIN_ROWS unless the queries are. The workers are the CPUs in the affinity
+    mask, at most two (ROW_BLOCK rows of scores in flight) and at most one per
+    block; each walks one contiguous run of whole blocks, the calling thread
+    the first run and a `Workers` helper, joined before this returns, the
+    other (with one worker the blocks run inline). `fn` runs on several
+    threads at once and must write only its own rows of any shared output;
+    an exception it raises is raised again here.
 
     With `exclude_self`, query row i is key row i and its own score is -inf,
     so it never ranks as its own neighbour.
     """
     n, m = queries.shape[0], keys.shape[0]
-    workers = max(1, min(_cpus(), ROW_BLOCK // (2 * MIN_ROWS), n // MIN_ROWS))
-    height = max(1, min(ROW_BLOCK // workers, n))
-    bounds = [n * w // workers for w in range(workers + 1)]
-    # each span's scores block, then any aux and mask, allocated here before any worker starts
+    if n == 0:
+        return
+    count = -(-n // (ROW_BLOCK // 2))
+    edges = [n * b // count for b in range(count + 1)]
+    height = -(-n // count)
+    # each worker's scores block, then any aux and mask, allocated here before any worker starts
     dtypes = (np.float64, np.float64, bool) if scratch else (np.float64,)
-    spans = [
-        (lo, hi, *(np.empty((height, m), dtype=dtype) for dtype in dtypes))
-        for lo, hi in zip(bounds, bounds[1:])
-    ]
 
-    def walk(lo, hi, scores, *extra) -> None:
-        count = -(-(hi - lo) // height)
-        for b in range(count):
-            start, stop = lo + (hi - lo) * b // count, lo + (hi - lo) * (b + 1) // count
+    def walk(first, last, scores, *extra) -> None:
+        for start, stop in zip(edges[first:last], edges[first + 1:last + 1]):
             block = scores[:stop - start]
             np.matmul(queries[start:stop], keys.T, out=block)
             if exclude_self:
@@ -114,29 +206,13 @@ def row_blocks(queries: np.ndarray, keys: np.ndarray, fn, exclude_self: bool = F
                 block[rows, start + rows] = -np.inf
             fn(start, block, *(buf[:stop - start] for buf in extra))
 
-    if workers == 1:
-        walk(*spans[0])
-        return
-    # plain threads, joined before returning: threading is loaded with numpy anyway,
-    # while importing concurrent.futures cost 5.5 ms in every process that pools
-    errors = []
-
-    def run(span) -> None:
-        try:
-            walk(*span)
-        except BaseException as err:  # raised again in the calling thread below
-            errors.append(err)
-
-    threads = [threading.Thread(target=run, args=(span,)) for span in spans[1:]]
-    for thread in threads:
-        thread.start()
-    try:
-        walk(*spans[0])
-    finally:
-        for thread in threads:
-            thread.join()
-    if errors:
-        raise errors[0]
+    # two workers at most, so ROW_BLOCK rows of scores are in flight
+    tasks = [
+        functools.partial(walk, first, last, *(np.empty((height, m), dtype=t) for t in dtypes))
+        for first, last in worker_spans(count, 2)
+    ]
+    with Workers() as pool:
+        pool.run(tasks)
 
 
 def _select(scores: np.ndarray, k: int) -> np.ndarray:

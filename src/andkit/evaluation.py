@@ -85,7 +85,7 @@ def knn_predict_batch(
     `leave_one_out`, query row i must correspond to bank row i and is
     excluded from its own candidate set. Weights are shifted by each row's
     best score, exp((s - s_max) / tau), so a small tau cannot overflow them.
-    Scores are computed in row blocks on every CPU in the affinity mask
+    Scores are computed in row blocks on up to two CPUs of the affinity mask
     (`affinity.row_blocks`), so the whole query x bank matrix is never
     held, and the votes do not depend on the worker count.
     """
@@ -143,17 +143,26 @@ def per_class_accuracy(predictions, truth) -> list[float | None]:
     return out
 
 
+def _probe_probs(weights, bias, feats) -> np.ndarray:
+    """Softmax of an affine probe's logits."""
+    logits = feats @ weights.T + bias
+    return stable_softmax(logits, out=logits)
+
+
+def _probe_grads(probs, feats, labels) -> tuple[np.ndarray, np.ndarray]:
+    """Weight and bias gradients of the mean cross-entropy; overwrites `probs`."""
+    b = feats.shape[0]
+    probs[np.arange(b), labels] -= 1.0
+    probs /= b
+    return probs.T @ feats, probs.sum(axis=0)
+
+
 def probe_loss_and_grad(weights, bias, feats, labels) -> tuple[float, np.ndarray, np.ndarray]:
     """Mean softmax cross-entropy of an affine probe, with exact gradients."""
     labels = _check_labels(labels)
-    logits = feats @ weights.T + bias
-    probs = stable_softmax(logits)
-    b = feats.shape[0]
-    loss = float(-np.log(probs[np.arange(b), labels]).mean())
-    gl = probs.copy()
-    gl[np.arange(b), labels] -= 1.0
-    gl /= b
-    return loss, gl.T @ feats, gl.sum(axis=0)
+    probs = _probe_probs(weights, bias, feats)
+    loss = float(-np.log(probs[np.arange(feats.shape[0]), labels]).mean())
+    return (loss, *_probe_grads(probs, feats, labels))
 
 
 def linear_probe(
@@ -180,7 +189,7 @@ def linear_probe(
     w = np.zeros((num_classes, tr_feats.shape[1]))
     b = np.zeros(num_classes)
     for _ in range(epochs):
-        _, gw, gb = probe_loss_and_grad(w, b, tr_feats, tr_labels)
+        gw, gb = _probe_grads(_probe_probs(w, b, tr_feats), tr_feats, tr_labels)
         w -= lr * gw
         b -= lr * gb
     preds = np.argmax(te_feats @ w.T + b, axis=1)

@@ -27,6 +27,14 @@ that holds p_j at the members and 0 elsewhere, not a sum over the member
 columns alone: numpy sums a full row pairwise, and that order fixes the
 last bits of q and of every checkpoint trained through it.
 
+Everything between the two products (scores, then gradients) is row by row,
+so `train` runs it in one contiguous span of rows per CPU in the affinity
+mask, on `affinity.Workers` threads it starts once a run. The products stay
+single calls over the whole batch: OpenBLAS rounds a product of 128 rows
+differently from the same rows cut into shorter calls where the bank's row
+count is not a multiple of 8, so a split product would make the bits depend
+on the CPU count.
+
 Member sets are rows of an int array, anchor first (see `affinity`). The
 batch loss counts a repeated index once; the per-sample reference terms
 reject repeats.
@@ -34,14 +42,23 @@ reject repeats.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .affinity import prob_row
+from .affinity import MIN_ROWS, Workers, prob_row, worker_spans
 from .errors import ContractError
 from .memory import FeatureBank
 from .numerics import stable_softmax
+
+# fewest scores (rows x bank rows) in a span of the batch loss: below it the
+# hand-off to a helper thread costs more than the span saves. Per batch at
+# b = 128, d = 16, k = 10 (one BLAS thread, 2 vCPU), inline against split in
+# two: N = 400 0.61 vs 0.83 ms, 800 1.16 vs 1.25, 1000 1.41 vs 1.40, 1600 2.14
+# vs 2.00, 5000 5.49 vs 4.38; in spells where the two vCPUs did not run at once
+# the split lost 5-10% at every size
+SPLIT_SCORES = 70_000
 
 
 @dataclass(frozen=True)
@@ -76,7 +93,7 @@ def neighbourhood_term(i: int, x_i, members, bank: FeatureBank, tau: float) -> L
 
 
 def round_batch_loss(
-    feats, members, bank: FeatureBank, tau: float, *, work=None
+    feats, members, bank: FeatureBank, tau: float, *, work=None, workers: Workers | None = None
 ) -> tuple[float, np.ndarray]:
     """Mean neighbourhood loss over a batch and gradients of that mean.
 
@@ -95,6 +112,10 @@ def round_batch_loss(
     round differently. The gradient is scattered into the softmax at the
     member columns only (see the module notes). The per-sample term
     functions above serve as its reference oracle in the tests.
+
+    With `workers`, everything between the two products runs in contiguous
+    spans of rows, one per CPU in the affinity mask, where each span holds
+    at least MIN_ROWS rows and SPLIT_SCORES scores; the products stay whole.
     """
     feats = np.asarray(feats, dtype=np.float64)
     members = np.asarray(members, dtype=np.int64)
@@ -107,15 +128,25 @@ def round_batch_loss(
         raise ContractError(f"work buffer shape {work.shape} is not {(2, b, bank.n)}")
     z, p = work
     np.matmul(feats, bank.features.T, out=z)
-    z /= tau
-    stable_softmax(z, out=p)
-    pm = np.take_along_axis(p, members, axis=1)
-    # z becomes the dense member-mass row; q is its full-row sum (module notes)
-    z.fill(0.0)
-    np.put_along_axis(z, members, pm, axis=1)
-    q = z.sum(axis=1)
+    q = np.empty(b)
+
+    def rows(lo: int, hi: int) -> None:
+        zs, ps, ms = z[lo:hi], p[lo:hi], members[lo:hi]
+        zs /= tau
+        stable_softmax(zs, out=ps)
+        pm = np.take_along_axis(ps, ms, axis=1)
+        # zs becomes the dense member-mass row; q is its full-row sum (module notes)
+        zs.fill(0.0)
+        np.put_along_axis(zs, ms, pm, axis=1)
+        zs.sum(axis=1, out=q[lo:hi])
+        # p - t is p outside the members; a repeated index writes the same value
+        np.put_along_axis(ps, ms, pm - pm / q[lo:hi, None], axis=1)
+
+    most = min(b // MIN_ROWS, b * bank.n // SPLIT_SCORES)
+    if workers is None or most < 2:
+        rows(0, b)
+    else:
+        workers.run([functools.partial(rows, lo, hi) for lo, hi in worker_spans(b, most)])
     losses = -np.log(q)
-    # p - t is p outside the members; a repeated index writes the same value
-    np.put_along_axis(p, members, pm - pm / q[:, None], axis=1)
     grads = p @ bank.features / (tau * b)
     return float(losses.mean()), grads

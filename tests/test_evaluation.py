@@ -217,6 +217,22 @@ class TestLinearProbe:
         assert max_rel_error(gb, fd_b) < 1e-6
 
 
+    def test_probe_steps_on_the_gradients_of_probe_loss_and_grad(self):
+        # linear_probe's gradient-only step is the reference loop below, bit for bit
+        from andkit.encoder import forward
+
+        ds = generate_blobs(BlobSpec(3, 30, 8, noise_sigma=1.5, seed=12))
+        params = init_params(EncoderConfig(layer_sizes=(8, 4), seed=13))
+        feats, _ = forward(params, ds.inputs)
+        w, b = np.zeros((3, 4)), np.zeros(3)
+        for epochs in range(1, 31):
+            _, gw, gb = probe_loss_and_grad(w, b, feats, ds.labels)
+            w, b = w - 0.5 * gw, b - 0.5 * gb
+            preds = np.argmax(feats @ w.T + b, axis=1)
+            expected = float((preds == ds.labels).mean())
+            assert linear_probe(ds, ds, params, epochs=epochs, lr=0.5) == expected
+
+
 class TestNeighbourhoodConsistency:
     def test_singleton_is_consistent(self):
         assert neighbourhood_consistency(np.array([[3]]), [7, 7, 7, 9]) == (1, 0)

@@ -1,11 +1,15 @@
-"""Row-block workers: the N x N kernels give the same bits at every worker count.
+"""Workers: the N x N kernels and the batch loss give the same bits at every worker count.
 
-`affinity.row_blocks` runs its score blocks on every CPU in the affinity mask.
-Each test pins the worker count by patching `affinity._cpus`: 3 workers cut
-the rows into uneven spans even on a 2-CPU machine. Dyadic rows keep every
-product exact, so a block's scores never depend on where its rows start.
+`affinity.row_blocks` runs its score blocks, and `round_batch_loss` the rows
+between its two products, on the CPUs in the affinity mask. Each test pins
+the worker count by patching `affinity._cpus`: 3 workers cut the rows into
+uneven spans even on a 2-CPU machine. Dyadic rows keep every product exact,
+so a block's scores never depend on where its rows start; random unit rows
+at bank sizes that are not a multiple of 8 do not, and OpenBLAS rounds such
+products differently by block height.
 """
 
+import functools
 import os
 import subprocess
 import sys
@@ -15,13 +19,20 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from andkit import affinity
-from andkit.affinity import MIN_ROWS, PREFILTER, ROW_BLOCK, build_neighbourhoods, row_blocks
+from andkit import affinity, losses
+from andkit.affinity import (
+    MIN_ROWS,
+    PREFILTER,
+    ROW_BLOCK,
+    Workers,
+    build_neighbourhoods,
+    row_blocks,
+)
 from andkit.evaluation import knn_predict_batch
 from andkit.losses import round_batch_loss
 from andkit.memory import FeatureBank
 from andkit.numerics import SeededRng
-from andkit.pipeline import bank_entropies
+from andkit.pipeline import TrainConfig, bank_entropies, train
 
 from conftest import dense_batch_loss, dyadic_matrix, random_bank
 
@@ -60,15 +71,17 @@ class TestSpans:
             seen.append((start, scores.shape[0], threading.current_thread()))
 
         at_workers(monkeypatch, workers, row_blocks, queries, keys, record, scratch=True)
-        covered = np.concatenate([np.arange(start, start + rows) for start, rows, _ in seen])
-        np.testing.assert_array_equal(np.sort(covered), np.arange(n))
-        used = min(workers, max(1, n // MIN_ROWS))
-        # the calling thread walks the first span, one new thread each of the others
+        # the grid depends on n alone: near-equal blocks of at most ROW_BLOCK // 2 rows
+        count = -(-n // (ROW_BLOCK // 2))
+        edges = [n * b // count for b in range(count + 1)]
+        assert sorted((start, rows) for start, rows, _ in seen) == [
+            (lo, hi - lo) for lo, hi in zip(edges, edges[1:])
+        ]
+        assert min(r for _, r, _ in seen) >= min(n, MIN_ROWS)
+        # the calling thread walks the first run of blocks, one helper thread the other
         threads = {t for _, _, t in seen}
         assert threading.current_thread() in threads
-        assert len(threads) == used
-        assert max(r for _, r, _ in seen) <= ROW_BLOCK // used
-        assert min(r for _, r, _ in seen) >= min(n, MIN_ROWS)
+        assert len(threads) == min(workers, 2, count)
 
     def test_worker_error_propagates(self, monkeypatch):
         def fail(start, scores):
@@ -76,7 +89,7 @@ class TestSpans:
                 raise ValueError("block failed")
 
         with pytest.raises(ValueError, match="block failed"):
-            at_workers(monkeypatch, 2, row_blocks, np.ones((100, 2)), np.ones((3, 2)), fail)
+            at_workers(monkeypatch, 2, row_blocks, np.ones((300, 2)), np.ones((3, 2)), fail)
 
 
 @pytest.mark.parametrize("n", SIZES)
@@ -122,6 +135,144 @@ class TestWorkerInvariance:
             return np.append(grads, loss)
 
         assert_worker_invariant(monkeypatch, loss_and_grads)
+
+
+class CountingWorkers(Workers):
+    """A Workers pool that records how many tasks each job had."""
+
+    def __init__(self):
+        super().__init__()
+        self.spans = []
+
+    def run(self, tasks):
+        self.spans.append(len(tasks))
+        super().run(tasks)
+
+
+def split_batch_loss(monkeypatch, workers, feats, members, bank, tau):
+    """round_batch_loss through a pool at a pinned CPU count; also the spans it ran."""
+    monkeypatch.setattr(affinity, "_cpus", lambda: workers)
+    with CountingWorkers() as pool:
+        loss, grads = round_batch_loss(feats, members, bank, tau, workers=pool)
+    return loss, grads, pool.spans
+
+
+@pytest.mark.parametrize("n", [513, 2500])
+class TestRoundedBanks:
+    """Random unit banks whose row count is not a multiple of 8: products round by block height."""
+
+    def test_bank_entropies(self, monkeypatch, n):
+        # at these seeds, on an AVX-512 OpenBLAS kernel, blocks whose height followed the
+        # worker count gave other last bits at 3 workers (n = 513) or at 2 and 3 (n = 2500)
+        bank = random_bank(n, 16, seed=n + 3)
+        assert_worker_invariant(monkeypatch, bank_entropies, bank, 0.07)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_split_batch_loss_equals_the_dense_oracle(self, monkeypatch, n, workers):
+        monkeypatch.setattr(losses, "SPLIT_SCORES", 1)  # split whatever the bank size
+        bank = random_bank(n, 16, seed=n + 1)
+        feats = random_bank(128, 16, seed=n + 2).features
+        members = (np.arange(128)[:, None] * 7 + np.arange(11)) % n
+        members[::3, 1:] = members[::3, :1]  # instance rows, padded with their anchor
+        loss, grads, spans = split_batch_loss(monkeypatch, workers, feats, members, bank, 0.07)
+        assert spans == [workers]
+        oracle_loss, oracle_grads = dense_batch_loss(feats, members, bank, 0.07)
+        assert loss == oracle_loss
+        np.testing.assert_array_equal(grads, oracle_grads)
+
+
+class TestBatchLossSplit:
+    def test_splits_only_where_each_span_holds_enough_scores(self, monkeypatch):
+        feats = random_bank(128, 16, seed=75).features
+        members = np.arange(128)[:, None]
+        spans = {}
+        for n in (400, 1200, 2500):  # 400: the desk workload's batches stay inline
+            bank = random_bank(n, 16, seed=n)
+            spans[n] = split_batch_loss(monkeypatch, 2, feats, members % n, bank, 0.07)[2]
+        assert spans == {400: [], 1200: [2], 2500: [2]}  # []: inline, the pool never runs
+        # a short last batch stays inline, whatever the bank size
+        short = split_batch_loss(monkeypatch, 2, feats[:40], members[:40], bank, 0.07)[2]
+        assert short == []
+
+    def test_error_in_a_helper_span_is_raised_in_the_caller(self, monkeypatch):
+        bank = random_bank(2500, 16, seed=76)
+        feats = random_bank(128, 16, seed=77).features
+        members = np.arange(128)[:, None].copy()
+        members[-1] = bank.n  # out of range in the last row, which the helper takes
+        with pytest.raises(IndexError):
+            split_batch_loss(monkeypatch, 2, feats, members, bank, 0.07)
+
+    def test_workers_run_every_task_and_raise_a_helper_error(self):
+        done = []
+
+        def fail():
+            raise ValueError("helper failed")
+
+        with Workers() as pool:
+            pool.run([lambda: done.append(threading.current_thread())] * 3)
+            with pytest.raises(ValueError, match="helper failed"):
+                pool.run([lambda: None, fail])
+            pool.run([lambda: done.append(0), lambda: done.append(1)])  # the pool still works
+        assert done[0] is threading.current_thread() and len(set(done[:3])) == 3
+        assert sorted(done[3:]) == [0, 1]
+
+    def test_every_task_is_done_when_run_returns(self):
+        # more helpers than cores and a short switch interval, to shake out a lost wake-up
+        counts = [0] * 4
+
+        def bump(i):
+            counts[i] += 1  # each task owns its slot
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with Workers() as pool:
+                for job in range(1, 301):
+                    pool.run([functools.partial(bump, i) for i in range(4)])
+                    assert counts == [job] * 4
+        finally:
+            sys.setswitchinterval(interval)
+
+
+class TestTrainThreads:
+    """train starts the batch loss's helper at most once and joins it however it ends."""
+
+    @staticmethod
+    def started_threads(monkeypatch):
+        started = []
+        start = threading.Thread.start
+        monkeypatch.setattr(
+            threading.Thread, "start", lambda self: (started.append(self), start(self))[1]
+        )
+        monkeypatch.setattr(affinity, "_cpus", lambda: 2)
+        return started
+
+    @staticmethod
+    def config():
+        return TrainConfig(layer_sizes=(4, 8), rounds=2, epochs_per_round=1, init_epochs=1, seed=5)
+
+    def test_no_thread_left_after_train_returns(self, monkeypatch):
+        inputs = SeededRng(78).normals((1200, 4))  # 128 x 1200 scores a batch: the loss splits
+        started = self.started_threads(monkeypatch)
+        config = self.config()
+        train(inputs, config)
+        # one helper serves every batch of the run; each plan's two row-block passes start one
+        assert len(started) == 1 + 2 * config.rounds
+        assert not any(thread.is_alive() for thread in started)
+
+    def test_no_thread_left_after_train_raises(self, monkeypatch):
+        inputs = SeededRng(79).normals((1200, 4))
+        started = self.started_threads(monkeypatch)
+
+        def monitor(r, plan, bank, params):
+            if r == 2:
+                raise RuntimeError("monitor failed")
+            return {}
+
+        with pytest.raises(RuntimeError, match="monitor failed"):
+            train(inputs, self.config(), monitor=monitor)
+        assert started
+        assert not any(thread.is_alive() for thread in started)
 
 
 class TestPrefilteredRows:
