@@ -24,7 +24,9 @@ the helper threads that run the spans of a job beside the calling thread,
 serves both these blocks and the batch loss's row spans (`losses`).
 
 All log/entropy values use the natural logarithm; only the entropy ordering
-matters for curriculum selection, so the base is a free choice.
+matters for curriculum selection, so the base is a free choice. `entropy`
+takes one probability row; the plan (`pipeline.bank_entropies`) takes every
+row's entropy straight from its scores, in log space.
 """
 
 from __future__ import annotations
@@ -173,17 +175,16 @@ def row_blocks(queries: np.ndarray, keys: np.ndarray, fn, exclude_self: bool = F
     """Call fn(start, scores) on every row block of queries @ keys.T.
 
     `scores` holds queries[start:start + len(scores)] @ keys.T; with `scratch`,
-    the call is fn(start, scores, aux, mask), where `aux` (float64)
-    and `mask` (bool) are scratch blocks of the same shape for `fn` to use. The
-    query rows are cut into near-equal blocks of at most ROW_BLOCK // 2 rows,
-    a grid that depends on the row count alone, so no block is shorter than
-    MIN_ROWS unless the queries are. The workers are the CPUs in the affinity
-    mask, at most two (ROW_BLOCK rows of scores in flight) and at most one per
-    block; each walks one contiguous run of whole blocks, the calling thread
-    the first run and a `Workers` helper, joined before this returns, the
-    other (with one worker the blocks run inline). `fn` runs on several
-    threads at once and must write only its own rows of any shared output;
-    an exception it raises is raised again here.
+    the call is fn(start, scores, aux), where `aux` is a float64 scratch block
+    of the same shape for `fn` to use. The query rows are cut into near-equal
+    blocks of at most ROW_BLOCK // 2 rows, a grid that depends on the row count
+    alone, so no block is shorter than MIN_ROWS unless the queries are. The
+    workers are the CPUs in the affinity mask, at most two (ROW_BLOCK rows of
+    scores in flight) and at most one per block; each walks one contiguous run
+    of whole blocks, the calling thread the first run and a `Workers` helper,
+    joined before this returns, the other (with one worker the blocks run
+    inline). `fn` runs on several threads at once and must write only its own
+    rows of any shared output; an exception it raises is raised again here.
 
     With `exclude_self`, query row i is key row i and its own score is -inf,
     so it never ranks as its own neighbour.
@@ -194,8 +195,8 @@ def row_blocks(queries: np.ndarray, keys: np.ndarray, fn, exclude_self: bool = F
     count = -(-n // (ROW_BLOCK // 2))
     edges = [n * b // count for b in range(count + 1)]
     height = -(-n // count)
-    # each worker's scores block, then any aux and mask, allocated here before any worker starts
-    dtypes = (np.float64, np.float64, bool) if scratch else (np.float64,)
+    # each worker's scores block, then any aux block, allocated here before any worker starts
+    buffers = 2 if scratch else 1
 
     def walk(first, last, scores, *extra) -> None:
         for start, stop in zip(edges[first:last], edges[first + 1:last + 1]):
@@ -208,7 +209,7 @@ def row_blocks(queries: np.ndarray, keys: np.ndarray, fn, exclude_self: bool = F
 
     # two workers at most, so ROW_BLOCK rows of scores are in flight
     tasks = [
-        functools.partial(walk, first, last, *(np.empty((height, m), dtype=t) for t in dtypes))
+        functools.partial(walk, first, last, *(np.empty((height, m)) for _ in range(buffers)))
         for first, last in worker_spans(count, 2)
     ]
     with Workers() as pool:
@@ -337,20 +338,3 @@ def entropy(probs: np.ndarray) -> float:
     """Shannon entropy of a probability row, with 0 * log(0) taken as 0."""
     nz = probs[probs > 0.0]
     return float(-(nz * np.log(nz)).sum())
-
-
-def entropy_rows(prob_matrix: np.ndarray, aux=None, mask=None) -> np.ndarray:
-    """Row-wise entropies of a stack of probability rows.
-
-    `aux` (float64) and `mask` (bool), blocks of the matrix's shape, take
-    p log p and p > 0; without them both are allocated here.
-    """
-    p = np.asarray(prob_matrix, dtype=np.float64)
-    plogp = np.empty_like(p) if aux is None else aux
-    mask = np.empty(p.shape, dtype=bool) if mask is None else mask
-    np.greater(p, 0.0, out=mask)
-    plogp.fill(1.0)  # log(1) is exactly 0, so p = 0 adds 0
-    np.copyto(plogp, p, where=mask)
-    np.log(plogp, out=plogp)
-    plogp *= p
-    return -plogp.sum(axis=1)

@@ -61,7 +61,7 @@ from typing import Callable
 
 import numpy as np
 
-from .affinity import Workers, build_neighbourhoods, entropy_rows, row_blocks
+from .affinity import Workers, build_neighbourhoods, row_blocks
 from .data import make_batches, write_atomic
 from .encoder import (
     EncoderConfig,
@@ -75,7 +75,7 @@ from .encoder import (
 from .errors import ConfigurationError, ContractError, DegenerateInputError, FormatError
 from .losses import round_batch_loss
 from .memory import FeatureBank, init_bank, update_batch
-from .numerics import SeededRng, derive_seed, stable_softmax
+from .numerics import SeededRng, derive_seed
 
 _MAGIC = b"ANDC"
 _VERSION = 1
@@ -240,15 +240,18 @@ def select_anchors(entropies, r: int, R: int) -> np.ndarray:
 def bank_entropies(bank: FeatureBank, tau: float) -> np.ndarray:
     """Consistency entropy of every memory row queried against the whole bank.
 
-    Each score block becomes its softmax in place; `entropy_rows` takes
-    p log p in the block's scratch buffers.
+    In log space, no probability formed: with s = (z - max z) / tau, e = exp(s)
+    and Z = sum e, H = log Z - sum(e s) / Z. As s <= 0, Z >= 1, and an e that
+    underflows to 0 adds 0, as 0 log 0 = 0 asks.
     """
     out = np.empty(bank.n)
 
-    def block(start, scores, aux, mask):
+    def block(start, scores, aux):
+        scores -= scores.max(axis=1, keepdims=True)
         scores /= tau
-        probs = stable_softmax(scores, out=scores)
-        out[start:start + scores.shape[0]] = entropy_rows(probs, aux, mask)
+        np.exp(scores, out=aux)
+        z = aux.sum(axis=1)
+        out[start:start + scores.shape[0]] = np.log(z) - np.einsum("ij,ij->i", aux, scores) / z
 
     row_blocks(bank.features, bank.features, block, scratch=True)
     return out
@@ -260,12 +263,15 @@ def plan_round(bank: FeatureBank, config: TrainConfig, r: int) -> RoundPlan:
     One-off selects as at round R in every round; instance-only selects no anchor.
     """
     entropies = bank_entropies(bank, config.tau)
-    if config.instance_only:
-        selected = np.zeros(bank.n, dtype=bool)
-    else:
-        selected = select_anchors(entropies, config.rounds if config.one_off else r, config.rounds)
     members = build_neighbourhoods(bank, config.k)
-    return RoundPlan(entropies=entropies, selected=selected, members=members)
+    return RoundPlan(entropies, _selection(entropies, config, r), members)
+
+
+def _selection(entropies: np.ndarray, config: TrainConfig, r: int) -> np.ndarray:
+    """The anchors that round r selects by these entropies, as `plan_round` describes."""
+    if config.instance_only:
+        return np.zeros(entropies.size, dtype=bool)
+    return select_anchors(entropies, config.rounds if config.one_off else r, config.rounds)
 
 
 def train(
@@ -462,8 +468,9 @@ def load_plan(path, ckpt: Checkpoint, r: int) -> RoundPlan:
     """Read round r's plan from a plans file written with `ckpt`.
 
     Reads the header and round r only. A malformed file, a round that
-    breaks the plan invariants (finite entropies, members in range, anchor
-    first), or a file that names another checkpoint is a FormatError.
+    breaks the plan invariants (finite entropies, the selection they make,
+    distinct members in range, anchor first), or a file that names another
+    checkpoint is a FormatError.
     """
     n, k, rounds = ckpt.bank.n, ckpt.config.k, ckpt.config.rounds
     if not 1 <= r <= rounds:
@@ -502,4 +509,8 @@ def load_plan(path, ckpt: Checkpoint, r: int) -> RoundPlan:
         raise FormatError(f"{path}: round {r}: member outside [0, {n})")
     if (members[:, 0] != np.arange(n)).any():
         raise FormatError(f"{path}: round {r}: a row does not start with its anchor")
+    if (np.diff(np.sort(members, axis=1)) == 0).any():
+        raise FormatError(f"{path}: round {r}: a member row repeats an index")
+    if (selected[:n] != _selection(entropies, ckpt.config, r)).any():
+        raise FormatError(f"{path}: round {r}: selected bits differ from its entropies' selection")
     return RoundPlan(entropies=entropies, selected=selected[:n], members=members)

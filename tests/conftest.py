@@ -52,10 +52,11 @@ def dyadic_matrix(n, d, seed):
     return values
 
 
-# Dense reference kernels: the plain forms that `numerics.stable_softmax`,
-# `affinity.entropy_rows` and `losses.round_batch_loss` had before their
-# temporaries were cut, and `data.generate_blobs` before its per-sample loop
-# became one draw. The production code must match them bit for bit.
+# Dense reference kernels: the plain forms that `numerics.stable_softmax` and
+# `losses.round_batch_loss` had before their temporaries were cut,
+# `pipeline.bank_entropies` without its row blocks and scratch buffers, and
+# `data.generate_blobs` before its per-sample loop became one draw. The
+# production code must match them bit for bit.
 
 
 def dense_softmax(logits):
@@ -64,10 +65,13 @@ def dense_softmax(logits):
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def dense_entropy_rows(prob_matrix):
-    p = np.asarray(prob_matrix, dtype=np.float64)
-    logp = np.where(p > 0.0, np.log(np.where(p > 0.0, p, 1.0)), 0.0)
-    return -(p * logp).sum(axis=1)
+def dense_entropies(scores, tau):
+    """Row entropies of softmax(scores / tau) in log space, over the whole matrix at once."""
+    s = (scores - scores.max(axis=1, keepdims=True)) / tau
+    e = np.exp(s)
+    z = e.sum(axis=1)
+    # einsum, as the production pass uses: (e * s).sum(axis=1) rounds differently
+    return np.log(z) - np.einsum("ij,ij->i", e, s) / z
 
 
 def dense_batch_loss(feats, members, bank, tau):

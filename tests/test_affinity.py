@@ -11,7 +11,6 @@ from andkit.affinity import (
     _select,
     build_neighbourhoods,
     entropy,
-    entropy_rows,
     prob_row,
     top_k,
 )
@@ -19,9 +18,9 @@ from andkit.errors import ConfigurationError, ContractError
 from andkit.evaluation import knn_predict_batch
 from andkit.losses import neighbourhood_term
 from andkit.memory import FeatureBank
-from andkit.numerics import SeededRng, stable_softmax
+from andkit.numerics import SeededRng
 
-from conftest import dense_entropy_rows, dyadic_matrix, random_bank, random_unit, traced_peak
+from conftest import dyadic_matrix, random_bank, random_unit, traced_peak
 
 
 def three_row_bank():
@@ -307,20 +306,3 @@ class TestEntropy:
         tilted[0] += 0.01
         tilted[1] -= 0.01
         assert entropy(tilted) < math.log(n) - 1e-6
-
-    def test_rows_match_dense_form_on_exact_zeros(self):
-        bank = FeatureBank(features=dyadic_matrix(64, 8, seed=24))
-        # dyadic scores differ by multiples of 1/4, so at tau = 1e-4 every
-        # probability below a row's maximum underflows to exactly 0
-        probs = np.vstack([stable_softmax(bank.features @ bank.features.T / 1e-4), np.eye(5, 64)])
-        assert ((probs == 0.0).sum(axis=1) == 63).sum() > 5  # one-hot rows
-        np.testing.assert_array_equal(entropy_rows(probs), dense_entropy_rows(probs))
-
-    def test_rows_variant_matches_scalar(self):
-        bank = random_bank(7, 4, seed=3)
-        from andkit.numerics import stable_softmax
-
-        probs = stable_softmax(bank.features @ bank.features.T / 0.07)
-        rows = entropy_rows(probs)
-        for i in range(7):
-            assert rows[i] == pytest.approx(entropy(probs[i]), abs=1e-12)

@@ -627,6 +627,36 @@ class TestInspect:
             assert capsys.readouterr().err.startswith("error: "), name
             assert not table.exists(), name
 
+    @pytest.mark.parametrize("fault", ["selected bit flipped", "member repeated"])
+    def test_self_contradicting_plans_file_rejected(
+        self, run_dir, blob_file, tmp_path, capsys, fault
+    ):
+        import shutil
+        import struct
+
+        from andkit.errors import FormatError
+        from andkit.pipeline import load_checkpoint, load_plan
+
+        n, k, head = 100, 1, 22
+        at = head + (3 - 1) * (8 * n + 13 + 4 * n * (k + 1))  # round 3
+        blob = bytearray((run_dir / "plans.andp").read_bytes())
+        if fault == "selected bit flipped":
+            blob[at + 8 * n] ^= 1  # anchor 0
+            message = "selected bits differ"
+        else:
+            # anchor 5's one neighbour becomes anchor 5 itself: [5, 5]
+            struct.pack_into("<i", blob, at + 8 * n + 13 + 4 * (5 * (k + 1) + 1), 5)
+            message = "repeats an index"
+        ckpt_dir = tmp_path / "run"
+        ckpt_dir.mkdir()
+        shutil.copy(run_dir / "checkpoint.andc", ckpt_dir)
+        (ckpt_dir / "plans.andp").write_bytes(bytes(blob))
+        with pytest.raises(FormatError, match=message):
+            load_plan(ckpt_dir / "plans.andp", load_checkpoint(ckpt_dir / "checkpoint.andc"), 3)
+        args = ("--data", blob_file, "--round", 3)
+        assert run("inspect", "--checkpoint", ckpt_dir / "checkpoint.andc", *args) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_round_out_of_range_is_usage_error(self, run_dir):
         assert run(
             "inspect", "--checkpoint", run_dir / "checkpoint.andc", "--round", 9

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from andkit.affinity import ROW_BLOCK, entropy_rows
+from andkit.affinity import ROW_BLOCK, entropy, prob_row
 from andkit.data import BlobSpec, generate_blobs
 from andkit.errors import ConfigurationError, ContractError, FormatError
 from andkit.memory import FeatureBank
@@ -19,9 +20,9 @@ from andkit.pipeline import (
     select_anchors,
     train,
 )
-from andkit.numerics import SeededRng, stable_softmax
+from andkit.numerics import SeededRng
 
-from conftest import dense_entropy_rows, dense_softmax, dyadic_matrix, random_bank, traced_peak
+from conftest import dense_entropies, dyadic_matrix, random_bank, traced_peak
 
 
 def small_config(**overrides):
@@ -110,26 +111,53 @@ class TestPlanRound:
         np.testing.assert_array_equal(a.members, b.members)
 
     def test_entropies_match_per_row_oracle(self):
-        from andkit.affinity import entropy, prob_row
-
         bank = random_bank(7, 4, seed=8)
         got = bank_entropies(bank, tau=0.07)
         for i in range(7):
             expected = entropy(prob_row(bank.features[i], bank, 0.07))
             assert got[i] == pytest.approx(expected, abs=1e-12)
 
-
     def test_entropies_match_full_matrix_across_blocks(self):
         bank = FeatureBank(features=dyadic_matrix(2 * ROW_BLOCK + 37, 8, seed=22))
-        expected = entropy_rows(stable_softmax(bank.features @ bank.features.T / 0.07))
-        np.testing.assert_array_equal(bank_entropies(bank, tau=0.07), expected)
+        for tau in (1e-4, 0.07):
+            expected = dense_entropies(bank.features @ bank.features.T, tau)
+            np.testing.assert_array_equal(bank_entropies(bank, tau), expected)
 
     def test_entropies_match_dense_kernels(self):
         bank = FeatureBank(features=dyadic_matrix(ROW_BLOCK + 37, 8, seed=26))
-        for tau in (1e-4, 0.07):  # 1e-4 underflows every non-maximal probability to 0
-            sims = bank.features @ bank.features.T / tau
-            expected = dense_entropy_rows(dense_softmax(sims))
+        for tau in (1e-4, 0.07):  # 1e-4 underflows every e below a row's maximum to 0
+            expected = dense_entropies(bank.features @ bank.features.T, tau)
             np.testing.assert_array_equal(bank_entropies(bank, tau), expected)
+
+    def test_rows_with_one_maximum_have_zero_entropy_when_cold(self):
+        features = dyadic_matrix(64, 8, seed=24)
+        scores = features @ features.T
+        # dyadic scores differ by multiples of 1/4, so at tau = 1e-4 every e below a
+        # row's maximum underflows to exactly 0: a row with c maxima has entropy log(c)
+        ties = (scores == scores.max(axis=1, keepdims=True)).sum(axis=1)
+        assert (ties == 1).sum() > 5 and (ties > 1).any()
+        got = bank_entropies(FeatureBank(features=features), 1e-4)
+        np.testing.assert_array_equal(got, np.log(ties))  # exactly 0.0 where c = 1
+
+    @pytest.mark.parametrize("tau", [1e-4, 0.07, 1e3])
+    @pytest.mark.parametrize("n", [400, 513])
+    def test_entropies_at_extreme_temperatures(self, n, tau):
+        bank = random_bank(n, 16, seed=n + 5)
+        got = bank_entropies(bank, tau)
+        assert np.isfinite(got).all()
+        assert (got >= 0.0).all() and (got <= math.log(n)).all()
+        oracle = [entropy(prob_row(row, bank, tau)) for row in bank.features]
+        np.testing.assert_allclose(got, oracle, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("one_off", [False, True])
+    @pytest.mark.parametrize("n", [400, 513])
+    def test_selection_equals_that_of_the_oracle_entropies(self, n, one_off):
+        bank = random_bank(n, 16, seed=n + 6)
+        cfg = small_config(layer_sizes=(4, 16), rounds=4, k=3, one_off=one_off)
+        oracle = [entropy(prob_row(row, bank, cfg.tau)) for row in bank.features]
+        for r in range(1, cfg.rounds + 1):
+            expected = select_anchors(oracle, cfg.rounds if one_off else r, cfg.rounds)
+            np.testing.assert_array_equal(plan_round(bank, cfg, r).selected, expected)
 
     @staticmethod
     def assert_entropy_peak_is_a_few_score_blocks(monkeypatch, workers):

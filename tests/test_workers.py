@@ -64,9 +64,9 @@ class TestSpans:
         keys = dyadic_matrix(50, 4, seed=1)
         seen = []  # (start, rows, thread object); list.append is atomic
 
-        def record(start, scores, aux, mask):
-            assert scores.shape == aux.shape == mask.shape == (scores.shape[0], 50)
-            assert aux.dtype == np.float64 and mask.dtype == bool
+        def record(start, scores, aux):
+            assert scores.shape == aux.shape == (scores.shape[0], 50)
+            assert aux.dtype == np.float64
             np.testing.assert_array_equal(scores, queries[start:start + len(scores)] @ keys.T)
             seen.append((start, scores.shape[0], threading.current_thread()))
 
@@ -166,6 +166,11 @@ class TestRoundedBanks:
         # worker count gave other last bits at 3 workers (n = 513) or at 2 and 3 (n = 2500)
         bank = random_bank(n, 16, seed=n + 3)
         assert_worker_invariant(monkeypatch, bank_entropies, bank, 0.07)
+
+    def test_bank_entropies_when_cold(self, monkeypatch, n):
+        # at tau = 1e-4 most of each row's e underflows to 0
+        bank = random_bank(n, 16, seed=n + 3)
+        assert_worker_invariant(monkeypatch, bank_entropies, bank, 1e-4)
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_split_batch_loss_equals_the_dense_oracle(self, monkeypatch, n, workers):
