@@ -20,24 +20,28 @@ members (0 otherwise),
 
 which the tests validate against central finite differences.
 
-The batch loss builds no dense target: t is zero outside the members, so
-p - t differs from p only at the member columns. It scatters p_j - p_j / q
-into those columns of p and multiplies by M. q is the sum of a dense row
-that holds p_j at the members and 0 elsewhere, not a sum over the member
-columns alone: numpy sums a full row pairwise, and that order fixes the
-last bits of q and of every checkpoint trained through it.
+The batch loss works in log space: with scores s = (x / tau) . M,
+e = exp(s - max s), Z = sum e and t the softmax of the member scores,
 
-Everything between the two products (scores, then gradients) is row by row,
-so `train` runs it in one contiguous span of rows per CPU in the affinity
-mask, on `affinity.Workers` threads it starts once a run. The products stay
-single calls over the whole batch: OpenBLAS rounds a product of 128 rows
-differently from the same rows cut into shorter calls where the bank's row
-count is not a multiple of 8, so a split product would make the bits depend
-on the CPU count.
+    loss = log Z + max s - logsumexp(s[members])
+    grad = ((e . M) / Z - sum_j t_j m_j) / (tau * b).
 
-Member sets are rows of an int array, anchor first (see `affinity`). The
-batch loss counts a repeated index once; the per-sample reference terms
-reject repeats.
+It never normalises the softmax, and it stays finite where p underflows
+at a small tau (Z >= 1, as is the member sum taken from its maximum).
+e . M is summed over fixed 256-row bank panels in order: faster at one
+BLAS thread than one call (b = 128, d = 16, N = 5000: 0.86 -> 0.66 ms),
+and its bits ignore the BLAS thread count. The score product's bits follow
+it at some bank sizes (OpenBLAS 0.3.31, AVX-512 Xeon: N = 513, 999, 2500;
+not 400, 5000, 20000), and trained bytes with them.
+
+The row-wise passes between the two products (max, shift, exp, sum) run in
+one contiguous span of rows per CPU in the affinity mask, on the
+`affinity.Workers` threads `train` starts once a run. The products stay
+whole-batch calls: OpenBLAS rounds a 128-row product differently from its
+rows cut short where the bank's row count is not a multiple of 8.
+
+Member sets are rows of an int array, anchor first (see `affinity`); the
+per-sample reference terms reject a repeated index.
 """
 
 from __future__ import annotations
@@ -50,14 +54,12 @@ import numpy as np
 from .affinity import MIN_ROWS, Workers, prob_row, worker_spans
 from .errors import ContractError
 from .memory import FeatureBank
-from .numerics import stable_softmax
 
 # fewest scores (rows x bank rows) in a span of the batch loss: below it the
-# hand-off to a helper thread costs more than the span saves. Per batch at
-# b = 128, d = 16, k = 10 (one BLAS thread, 2 vCPU), inline against split in
-# two: N = 400 0.61 vs 0.83 ms, 800 1.16 vs 1.25, 1000 1.41 vs 1.40, 1600 2.14
-# vs 2.00, 5000 5.49 vs 4.38; in spells where the two vCPUs did not run at once
-# the split lost 5-10% at every size
+# hand-off to a helper thread costs more than the span saves. Per batch at b = 128,
+# d = 16, k = 11 (one BLAS thread, 2 vCPU), inline against split in two: N = 1600
+# 1.32 vs 1.37 ms, 5000 3.31 vs 2.95 where the two vCPUs ran at once; where they
+# did not, N = 400 0.36 vs 0.43, 1000 0.80 vs 0.88, 1600 1.31 vs 1.41, 5000 3.17 vs 3.31
 SPLIT_SCORES = 70_000
 
 
@@ -103,50 +105,46 @@ def round_batch_loss(
     Row b of the returned gradient matrix is d(mean loss)/d(feats[b]),
     ready to feed straight into the encoder backward pass.
 
-    The whole batch is evaluated in one vectorised pass over two (b, N)
-    arrays, the scores and the softmax: the two halves of `work`, a
-    float64 (2, b, N) buffer that a caller running many batches allocates
-    once (`train` holds one per round); without it they are allocated
-    here. The scores are reused as the dense member-mass row, and q is
-    that row's full sum, because a sum over the member columns alone would
-    round differently. The gradient is scattered into the softmax at the
-    member columns only (see the module notes). The per-sample term
-    functions above serve as its reference oracle in the tests.
+    The batch runs in log space (module notes) in one float64 (b, N)
+    array, the scores and then their shifted exps: `work`, which a caller
+    running many batches allocates once (`train` holds one per round), or
+    else a new one. The per-sample terms above are its oracle in the tests.
 
-    With `workers`, everything between the two products runs in contiguous
-    spans of rows, one per CPU in the affinity mask, where each span holds
-    at least MIN_ROWS rows and SPLIT_SCORES scores; the products stay whole.
+    With `workers`, the row-wise passes run in spans of rows, one per CPU in
+    the affinity mask, each of at least MIN_ROWS rows and SPLIT_SCORES scores.
     """
     feats = np.asarray(feats, dtype=np.float64)
     members = np.asarray(members, dtype=np.int64)
     b = feats.shape[0]
     if members.ndim != 2 or members.shape[0] != b:
         raise ContractError(f"member array shape {members.shape} does not fit {b} features")
-    if work is None:
-        work = np.empty((2, b, bank.n))
-    elif work.shape != (2, b, bank.n):
-        raise ContractError(f"work buffer shape {work.shape} is not {(2, b, bank.n)}")
-    z, p = work
-    np.matmul(feats, bank.features.T, out=z)
-    q = np.empty(b)
+    e = np.empty((b, bank.n)) if work is None else work
+    if e.shape != (b, bank.n):
+        raise ContractError(f"work buffer shape {e.shape} is not {(b, bank.n)}")
+    np.matmul(feats / tau, bank.features.T, out=e)
+    # sorted, a repeated index follows its first copy and scores -inf, so it counts once
+    ms = np.sort(members, axis=1)
+    t = np.take_along_axis(e, ms, axis=1)
+    t[:, 1:][ms[:, 1:] == ms[:, :-1]] = -np.inf
+    mm = t.max(axis=1)
+    t = np.exp(t - mm[:, None])
+    msum = t.sum(axis=1)
+    shift, z = np.empty(b), np.empty(b)
 
     def rows(lo: int, hi: int) -> None:
-        zs, ps, ms = z[lo:hi], p[lo:hi], members[lo:hi]
-        zs /= tau
-        stable_softmax(zs, out=ps)
-        pm = np.take_along_axis(ps, ms, axis=1)
-        # zs becomes the dense member-mass row; q is its full-row sum (module notes)
-        zs.fill(0.0)
-        np.put_along_axis(zs, ms, pm, axis=1)
-        zs.sum(axis=1, out=q[lo:hi])
-        # p - t is p outside the members; a repeated index writes the same value
-        np.put_along_axis(ps, ms, pm - pm / q[lo:hi, None], axis=1)
+        es = e[lo:hi]
+        es.max(axis=1, out=shift[lo:hi])
+        es -= shift[lo:hi, None]
+        np.exp(es, out=es)
+        es.sum(axis=1, out=z[lo:hi])
 
     most = min(b // MIN_ROWS, b * bank.n // SPLIT_SCORES)
     if workers is None or most < 2:
         rows(0, b)
     else:
         workers.run([functools.partial(rows, lo, hi) for lo, hi in worker_spans(b, most)])
-    losses = -np.log(q)
-    grads = p @ bank.features / (tau * b)
-    return float(losses.mean()), grads
+    losses = (shift + np.log(z)) - (mm + np.log(msum))
+    # e @ M over fixed 256-row bank panels, summed in order (module notes)
+    em = sum(e[:, c:c + 256] @ bank.features[c:c + 256] for c in range(0, bank.n, 256))
+    tm = np.einsum("bj,bjd->bd", t / msum[:, None], bank.features[ms])
+    return float(losses.mean()), (em / z[:, None] - tm) / (tau * b)

@@ -313,9 +313,9 @@ def train(
             if r and (r == 1 or not config.one_off):  # one-off plans once and never re-plans
                 plan = plan_round(bank, config, r)
             extra = dict(monitor(r, plan, bank, params)) if r and monitor is not None else {}
-            # the batch loss's scores and softmax, allocated once a round; the
-            # plan and monitor above run without it, so the two never stack up
-            work = np.empty((2, batch_size, n))
+            # the batch loss's scores, then their exps, allocated once a round;
+            # the plan and monitor above run without it, so the two never stack up
+            work = np.empty((batch_size, n))
             for e in range(config.epochs_per_round if r else config.init_epochs_resolved):
                 lr = lr_at(e, config.base_lr, config.epochs_per_round)
                 loss_sum = 0.0
@@ -326,7 +326,7 @@ def train(
                         raise DegenerateInputError(f"sample {int(batch[err.row])}: {err}") from err
                     loss, gfeats = round_batch_loss(
                         feats, plan.batch_members(batch), bank, config.tau,
-                        work=work[:, :batch.size], workers=workers,
+                        work=work[:batch.size], workers=workers,
                     )
                     grads = backward(params, cache, gfeats)
                     sgd_nesterov_step(params, grads, velocity, lr, config.momentum)

@@ -52,11 +52,11 @@ def dyadic_matrix(n, d, seed):
     return values
 
 
-# Dense reference kernels: the plain forms that `numerics.stable_softmax` and
-# `losses.round_batch_loss` had before their temporaries were cut,
-# `pipeline.bank_entropies` without its row blocks and scratch buffers, and
-# `data.generate_blobs` before its per-sample loop became one draw. The
-# production code must match them bit for bit.
+# Dense reference kernels: the plain form that `numerics.stable_softmax` had
+# before its temporaries were cut, `losses.round_batch_loss` without its row
+# spans and work buffer, `pipeline.bank_entropies` without its row blocks and
+# scratch buffers, and `data.generate_blobs` before its per-sample loop became
+# one draw. The production code must match them bit for bit.
 
 
 def dense_softmax(logits):
@@ -75,14 +75,27 @@ def dense_entropies(scores, tau):
 
 
 def dense_batch_loss(feats, members, bank, tau):
-    """Mean batch loss and gradients through a dense (b, N) target matrix."""
-    p = dense_softmax(feats @ bank.features.T / tau)
-    target = np.zeros_like(p)
-    np.put_along_axis(target, members, np.take_along_axis(p, members, axis=1), axis=1)
-    q = target.sum(axis=1)
-    target /= q[:, None]
-    grads = (p - target) @ bank.features / (tau * feats.shape[0])
-    return float((-np.log(q)).mean()), grads
+    """Mean batch loss and gradients in log space, over the whole batch in new arrays.
+
+    The production formula (see `losses`) without its row spans, work buffer
+    or in-place passes; e @ M is summed over the same 256-row bank panels, in
+    the same order.
+    """
+    m = bank.features
+    s = (feats / tau) @ m.T
+    ms = np.sort(members, axis=1)
+    ts = np.take_along_axis(s, ms, axis=1)
+    ts[:, 1:][ms[:, 1:] == ms[:, :-1]] = -np.inf  # a repeated index counts once
+    mm = ts.max(axis=1)
+    t = np.exp(ts - mm[:, None])
+    msum = t.sum(axis=1)
+    shift = s.max(axis=1)
+    e = np.exp(s - shift[:, None])
+    z = e.sum(axis=1)
+    loss = (shift + np.log(z)) - (mm + np.log(msum))
+    em = sum(e[:, c:c + 256] @ m[c:c + 256] for c in range(0, len(m), 256))
+    tm = np.einsum("bj,bjd->bd", t / msum[:, None], m[ms])
+    return float(loss.mean()), (em / z[:, None] - tm) / (tau * feats.shape[0])
 
 
 def looped_blobs(spec):

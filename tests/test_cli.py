@@ -314,6 +314,22 @@ class TestTrain:
             run("train", "--help")
         assert "--lr-reset-per-round" not in capsys.readouterr().out
 
+    @pytest.mark.parametrize("tau", [1e-3, 1e-4])
+    def test_readme_walkthrough_trains_at_small_tau(self, tmp_path, tau):
+        # most of each row's softmax mass underflows to 0 here; the loss must stay finite
+        data = tmp_path / "blobs.ands"
+        assert run(
+            "generate", "--classes", 4, "--per-class", 100, "--dim", 32, "--seed", 7,
+            "--out", data,
+        ) == 0
+        assert run(
+            "train", "--data", data, "--rounds", 4, "--epochs", 20, "--seed", 1,
+            "--layers", "64,16", "--lr", 3.84, "--tau", tau, "--out", tmp_path / "run",
+        ) == 0
+        lines = (tmp_path / "run" / "metrics.jsonl").read_text().splitlines()
+        assert len(lines) == 20 + 4 * 20
+        assert all(math.isfinite(json.loads(line)["mean_loss"]) for line in lines)
+
     def test_init_none_skips_warmup(self, blob_file, tmp_path):
         out = tmp_path / "cold"
         assert run(

@@ -165,6 +165,19 @@ class TestRoundBatchLoss:
         loss, _ = round_batch_loss(x[None], [[3, 3, 3]], bank, tau=0.07)
         assert loss == pytest.approx(instance_term(3, x, bank, 0.07).loss, abs=1e-12)
 
+    @pytest.mark.parametrize("tau", [1e-3, 2e-3, 0.07])
+    def test_gradient_matches_finite_differences(self, tau):
+        # at tau 1e-3 most member rows hold a softmax mass that underflows to 0
+        for trial in range(10):
+            bank = random_bank(9, 5, seed=500 + trial)
+            members = build_neighbourhoods(bank, k=2)
+            members[::2, 1:] = members[::2, :1]  # instance rows, padded with their anchor
+            feats = random_bank(9, 5, seed=600 + trial).features
+            loss, grads = round_batch_loss(feats, members, bank, tau)
+            assert math.isfinite(loss)
+            fd = finite_difference(lambda v: round_batch_loss(v, members, bank, tau)[0], feats)
+            assert max_rel_error(grads, fd) < 1e-6
+
     def test_index_missing_from_plan_rejected(self):
         plan = make_plan([], np.arange(2)[:, None])  # plan only covers samples 0..1
         with pytest.raises(ContractError):
@@ -172,7 +185,7 @@ class TestRoundBatchLoss:
 
 
 class TestRoundBatchLossLean:
-    """The scatter-only batch loss against the dense-target oracle, and its memory."""
+    """The log-space batch loss against its dense whole-batch reference, and its memory."""
 
     @pytest.mark.parametrize("tau", [0.07, 1.0])
     @pytest.mark.parametrize("b", [1, 7, 128])
@@ -189,10 +202,10 @@ class TestRoundBatchLossLean:
         assert loss == oracle_loss
         np.testing.assert_array_equal(grads, oracle_grads)
 
-    def test_peak_memory_is_two_score_matrices(self):
+    def test_peak_memory_is_one_score_matrix(self):
         n, b = 4000, 128
         bank = random_bank(n, 16, seed=31)
         feats = bank.features[:b].copy()
         members = np.arange(b * 11).reshape(b, 11)
         peak = traced_peak(round_batch_loss, feats, members, bank, 0.07)
-        assert peak < 2.5 * 8 * b * n, f"peak {peak / (8 * b * n):.2f} x 8bN bytes"
+        assert peak < 1.5 * 8 * b * n, f"peak {peak / (8 * b * n):.2f} x 8bN bytes"

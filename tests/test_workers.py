@@ -203,7 +203,9 @@ class TestBatchLossSplit:
         bank = random_bank(2500, 16, seed=76)
         feats = random_bank(128, 16, seed=77).features
         members = np.arange(128)[:, None].copy()
-        members[-1] = bank.n  # out of range in the last row, which the helper takes
+        # out of range in the last row, the helper's; the member gather raises before the
+        # spans run (test_workers_run_every_task_and_raise_a_helper_error covers a helper)
+        members[-1] = bank.n
         with pytest.raises(IndexError):
             split_batch_loss(monkeypatch, 2, feats, members, bank, 0.07)
 
@@ -312,8 +314,8 @@ class TestScratchBuffers:
         feats = random_bank(b, 8, seed=73).features
         members = (np.arange(b)[:, None] * 7 + np.arange(5)) % 300
         members[::4, 1:] = members[::4, :1]  # instance rows, padded with their anchor
-        work = np.full((2, 128, 300), np.nan)  # a stale buffer, as train reuses one per round
-        loss, grads = round_batch_loss(feats, members, bank, 0.07, work=work[:, :b])
+        work = np.full((128, 300), np.nan)  # a stale buffer, as train reuses one per round
+        loss, grads = round_batch_loss(feats, members, bank, 0.07, work=work[:b])
         plain_loss, plain_grads = round_batch_loss(feats, members, bank, 0.07)
         oracle_loss, oracle_grads = dense_batch_loss(feats, members, bank, 0.07)
         assert loss == plain_loss == oracle_loss
@@ -326,7 +328,7 @@ class TestScratchBuffers:
         bank = random_bank(30, 4, seed=74)
         feats = bank.features[:5]
         with pytest.raises(ContractError, match="work buffer"):
-            round_batch_loss(feats, np.arange(5)[:, None], bank, 0.07, work=np.empty((2, 6, 30)))
+            round_batch_loss(feats, np.arange(5)[:, None], bank, 0.07, work=np.empty((6, 30)))
 
 
 def test_cli_import_loads_no_pool_and_a_pooled_plan_leaves_no_thread():
