@@ -10,6 +10,10 @@ k_eval most similar bank rows, class c collects sum of exp(s_i / tau) over
 neighbours i labelled c, and the best-scoring class wins (ties to the
 lower class id). Evaluating training samples excludes the query's own
 bank row so self-similarity cannot inflate accuracy.
+
+The linear probe steps class-major, on one (C, n) probability array, so
+each softmax and gradient step is a contiguous length-n vector operation;
+it rounds as the sample-major `probe_loss_and_grad` does, bit for bit.
 """
 
 from __future__ import annotations
@@ -143,26 +147,61 @@ def per_class_accuracy(predictions, truth) -> list[float | None]:
     return out
 
 
-def _probe_probs(weights, bias, feats) -> np.ndarray:
-    """Softmax of an affine probe's logits."""
-    logits = feats @ weights.T + bias
-    return stable_softmax(logits, out=logits)
-
-
-def _probe_grads(probs, feats, labels) -> tuple[np.ndarray, np.ndarray]:
-    """Weight and bias gradients of the mean cross-entropy; overwrites `probs`."""
-    b = feats.shape[0]
-    probs[np.arange(b), labels] -= 1.0
-    probs /= b
-    return probs.T @ feats, probs.sum(axis=0)
-
-
 def probe_loss_and_grad(weights, bias, feats, labels) -> tuple[float, np.ndarray, np.ndarray]:
-    """Mean softmax cross-entropy of an affine probe, with exact gradients."""
+    """Mean softmax cross-entropy of an affine probe, with exact gradients (sample-major)."""
     labels = _check_labels(labels)
-    probs = _probe_probs(weights, bias, feats)
-    loss = float(-np.log(probs[np.arange(feats.shape[0]), labels]).mean())
-    return (loss, *_probe_grads(probs, feats, labels))
+    rows = np.arange(feats.shape[0])
+    probs = stable_softmax(feats @ weights.T + bias)
+    loss = float(-np.log(probs[rows, labels]).mean())
+    probs[rows, labels] -= 1.0
+    probs /= feats.shape[0]
+    return loss, probs.T @ feats, probs.sum(axis=0)
+
+
+def _class_sum(rows) -> np.ndarray:
+    """Sum of the rows of a (C, n) array, added in the order numpy's pairwise
+    sum takes along a length-C last axis, so it equals the row sums of the
+    (n, C) transpose bit for bit: in turn below 8 classes, in 8 running sums
+    up to 128, halved above."""
+    c = len(rows)
+    if c > 128:
+        half = c // 2 - c // 2 % 8
+        return _class_sum(rows[:half]) + _class_sum(rows[half:])
+    if c < 8:
+        total = rows[0].copy()
+        for row in rows[1:]:
+            total += row
+        return total
+    whole = c - c % 8
+    acc = rows[:8].copy()
+    for i in range(8, whole, 8):
+        acc += rows[i:i + 8]
+    total = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
+    for row in rows[whole:]:
+        total += row
+    return total
+
+
+def _fit_probe(feats, labels, num_classes: int, epochs: int, lr: float):
+    """Weights and bias after `epochs` full-batch gradient steps from zeros."""
+    n = feats.shape[0]
+    w = np.zeros((num_classes, feats.shape[1]))
+    b = np.zeros(num_classes)
+    probs = np.empty((num_classes, n))
+    running = np.empty((num_classes, n))
+    one_hot = np.zeros((num_classes, n))
+    one_hot[labels, np.arange(n)] = 1.0
+    for _ in range(epochs):
+        np.copyto(probs, (feats @ w.T).T)
+        probs += b[:, None]
+        probs -= np.maximum.reduce(probs, axis=0)
+        np.exp(probs, out=probs)
+        probs /= _class_sum(probs)
+        probs -= one_hot
+        probs /= n
+        w -= lr * (probs @ feats)
+        b -= lr * np.add.accumulate(probs, axis=1, out=running)[:, -1]
+    return w, b
 
 
 def linear_probe(
@@ -176,6 +215,11 @@ def linear_probe(
 
     The probe starts from zeros, so the run is deterministic and zero
     epochs leaves the all-ties probe that predicts class 0 everywhere.
+
+    Steps run class-major, on one (C, n) array, and keep the bits of steps
+    on `probe_loss_and_grad`: the same `feats @ w.T` product, copied
+    transposed; numpy's class-sum order (`_class_sum`); `probs @ feats`
+    for its `probs.T @ feats`; and a bias sum that adds the samples in turn.
     """
     if epochs < 0:
         raise ConfigurationError(f"probe epochs must be >= 0, got {epochs}")
@@ -186,12 +230,7 @@ def linear_probe(
     tr_feats, _ = forward(params, train_split.inputs)
     te_feats, _ = forward(params, test_split.inputs)
     num_classes = int(max(tr_labels.max(), te_labels.max())) + 1
-    w = np.zeros((num_classes, tr_feats.shape[1]))
-    b = np.zeros(num_classes)
-    for _ in range(epochs):
-        gw, gb = _probe_grads(_probe_probs(w, b, tr_feats), tr_feats, tr_labels)
-        w -= lr * gw
-        b -= lr * gb
+    w, b = _fit_probe(tr_feats, tr_labels, num_classes, epochs, lr)
     preds = np.argmax(te_feats @ w.T + b, axis=1)
     return float((preds == te_labels).mean())
 

@@ -56,11 +56,14 @@ from .errors import ContractError
 from .memory import FeatureBank
 
 # fewest scores (rows x bank rows) in a span of the batch loss: below it the
-# hand-off to a helper thread costs more than the span saves. Per batch at b = 128,
-# d = 16, k = 11 (one BLAS thread, 2 vCPU), inline against split in two: N = 1600
-# 1.32 vs 1.37 ms, 5000 3.31 vs 2.95 where the two vCPUs ran at once; where they
-# did not, N = 400 0.36 vs 0.43, 1000 0.80 vs 0.88, 1600 1.31 vs 1.41, 5000 3.17 vs 3.31
-SPLIT_SCORES = 70_000
+# hand-off to a helper thread costs more than the span saves; at b = 128 banks
+# from 4000 rows split. Per batch at b = 128, d = 16, k = 11 (one BLAS thread,
+# 2 vCPU, medians of 19 sets of 300 alternating calls), inline against split in
+# two where the vCPUs did not run at once: N = 1600 1.09 vs 1.17 ms, 2500 1.72 vs
+# 1.75, 3200 2.17 vs 2.22, 4000 2.61 vs 2.71, 5000 3.17 vs 3.27; where they did,
+# N = 1600 1.32 vs 1.37 and 5000 3.31 vs 2.95 (no such spell came up for the
+# sizes between, so the cut keeps 5000 split with a margin)
+SPLIT_SCORES = 256_000
 
 
 @dataclass(frozen=True)

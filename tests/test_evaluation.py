@@ -8,6 +8,8 @@ from andkit.data import BlobSpec, Dataset, generate_blobs
 from andkit.encoder import EncoderConfig, init_params
 from andkit.errors import ConfigurationError, ContractError
 from andkit.evaluation import (
+    _class_sum,
+    _fit_probe,
     consistent_rows,
     knn_accuracy,
     knn_predict_batch,
@@ -231,6 +233,64 @@ class TestLinearProbe:
             preds = np.argmax(feats @ w.T + b, axis=1)
             expected = float((preds == ds.labels).mean())
             assert linear_probe(ds, ds, params, epochs=epochs, lr=0.5) == expected
+
+
+def probe_features(n, num_classes, seed, d=16):
+    """Unit rows scattered about one random centre per class, with their labels."""
+    rng = SeededRng(seed)
+    labels = np.arange(n) % num_classes
+    return l2_normalize_rows(rng.normals((num_classes, d))[labels] + rng.normals((n, d))), labels
+
+
+def reference_fit(feats, labels, num_classes, epochs, lr=0.5):
+    """`linear_probe`'s full-batch steps, sample-major on `probe_loss_and_grad`."""
+    w, b = np.zeros((num_classes, feats.shape[1])), np.zeros(num_classes)
+    for _ in range(epochs):
+        _, gw, gb = probe_loss_and_grad(w, b, feats, labels)
+        w, b = w - lr * gw, b - lr * gb
+    return w, b
+
+
+class TestClassMajorProbe:
+    """The class-major fit keeps every bit of the sample-major reference steps."""
+
+    @pytest.mark.parametrize("epochs", [0, 1, 20])
+    @pytest.mark.parametrize("n", [90, 5000])
+    @pytest.mark.parametrize("num_classes", [2, 3, 4, 7, 10, 16])
+    def test_fit_equals_reference_steps(self, num_classes, n, epochs):
+        feats, labels = probe_features(n, num_classes, seed=num_classes + n)
+        w, b = _fit_probe(feats, labels, num_classes, epochs, 0.5)
+        ref_w, ref_b = reference_fit(feats, labels, num_classes, epochs)
+        np.testing.assert_array_equal(w, ref_w)
+        np.testing.assert_array_equal(b, ref_b)
+
+    def test_class_absent_from_the_train_split(self):
+        feats, labels = probe_features(400, 4, seed=21)
+        labels = np.where(labels == 2, 3, labels)  # no train sample of class 2
+        w, b = _fit_probe(feats, labels, 4, 20, 0.5)
+        ref_w, ref_b = reference_fit(feats, labels, 4, 20)
+        np.testing.assert_array_equal(w, ref_w)
+        np.testing.assert_array_equal(b, ref_b)
+
+    def test_probe_scores_the_reference_fit_on_a_class_only_the_test_split_holds(self):
+        from andkit.encoder import forward
+
+        ds = generate_blobs(BlobSpec(4, 30, 8, noise_sigma=1.5, seed=22))
+        params = init_params(EncoderConfig(layer_sizes=(8, 4), seed=23))
+        train_rows = ds.labels != 2
+        train = Dataset(inputs=ds.inputs[train_rows], labels=ds.labels[train_rows])
+        feats, _ = forward(params, train.inputs)
+        w, b = reference_fit(feats, train.labels, 4, 30)
+        test_feats, _ = forward(params, ds.inputs)
+        expected = float((np.argmax(test_feats @ w.T + b, axis=1) == ds.labels).mean())
+        assert linear_probe(train, ds, params, epochs=30, lr=0.5) == expected
+
+    @pytest.mark.parametrize("num_classes", [*range(1, 20), 64, 128, 129, 200, 300])
+    def test_class_sum_adds_in_numpys_last_axis_order(self, num_classes):
+        rng = SeededRng(num_classes)
+        # magnitudes over 12 decades, so most orders of addition round differently
+        rows = rng.uniforms((num_classes, 64)) * np.exp(rng.normals((num_classes, 64)) * 6)
+        np.testing.assert_array_equal(_class_sum(rows), rows.T.copy().sum(axis=-1))
 
 
 class TestNeighbourhoodConsistency:

@@ -191,10 +191,10 @@ class TestBatchLossSplit:
         feats = random_bank(128, 16, seed=75).features
         members = np.arange(128)[:, None]
         spans = {}
-        for n in (400, 1200, 2500):  # 400: the desk workload's batches stay inline
+        for n in (400, 3999, 4000, 5000):  # 400: the desk workload's batches stay inline
             bank = random_bank(n, 16, seed=n)
             spans[n] = split_batch_loss(monkeypatch, 2, feats, members % n, bank, 0.07)[2]
-        assert spans == {400: [], 1200: [2], 2500: [2]}  # []: inline, the pool never runs
+        assert spans == {400: [], 3999: [], 4000: [2], 5000: [2]}  # []: inline, the pool never runs
         # a short last batch stays inline, whatever the bank size
         short = split_batch_loss(monkeypatch, 2, feats[:40], members[:40], bank, 0.07)[2]
         assert short == []
@@ -259,7 +259,7 @@ class TestTrainThreads:
         return TrainConfig(layer_sizes=(4, 8), rounds=2, epochs_per_round=1, init_epochs=1, seed=5)
 
     def test_no_thread_left_after_train_returns(self, monkeypatch):
-        inputs = SeededRng(78).normals((1200, 4))  # 128 x 1200 scores a batch: the loss splits
+        inputs = SeededRng(78).normals((4000, 4))  # 128 x 4000 scores a batch: the loss splits
         started = self.started_threads(monkeypatch)
         config = self.config()
         train(inputs, config)
@@ -268,7 +268,7 @@ class TestTrainThreads:
         assert not any(thread.is_alive() for thread in started)
 
     def test_no_thread_left_after_train_raises(self, monkeypatch):
-        inputs = SeededRng(79).normals((1200, 4))
+        inputs = SeededRng(79).normals((4000, 4))
         started = self.started_threads(monkeypatch)
 
         def monitor(r, plan, bank, params):
