@@ -228,7 +228,7 @@ def linear_probe(
     tr_labels = _check_labels(train_split.labels)
     te_labels = _check_labels(test_split.labels)
     tr_feats, _ = forward(params, train_split.inputs)
-    te_feats, _ = forward(params, test_split.inputs)
+    te_feats = tr_feats if test_split is train_split else forward(params, test_split.inputs)[0]
     num_classes = int(max(tr_labels.max(), te_labels.max())) + 1
     w, b = _fit_probe(tr_feats, tr_labels, num_classes, epochs, lr)
     preds = np.argmax(te_feats @ w.T + b, axis=1)

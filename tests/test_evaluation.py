@@ -235,6 +235,20 @@ class TestLinearProbe:
             assert linear_probe(ds, ds, params, epochs=epochs, lr=0.5) == expected
 
 
+    def test_probe_on_its_own_split_runs_the_encoder_once(self, monkeypatch):
+        import andkit.evaluation as evaluation
+
+        ds = generate_blobs(BlobSpec(3, 30, 8, noise_sigma=1.5, seed=14))
+        params = init_params(EncoderConfig(layer_sizes=(8, 4), seed=15))
+        twin = Dataset(inputs=ds.inputs.copy(), labels=ds.labels.copy())
+        expected = linear_probe(ds, twin, params, epochs=20, lr=0.5)
+        calls = []
+        forward = evaluation.forward
+        monkeypatch.setattr(evaluation, "forward", lambda *a: calls.append(a) or forward(*a))
+        assert linear_probe(ds, ds, params, epochs=20, lr=0.5) == expected
+        assert len(calls) == 1
+
+
 def probe_features(n, num_classes, seed, d=16):
     """Unit rows scattered about one random centre per class, with their labels."""
     rng = SeededRng(seed)

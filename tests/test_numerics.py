@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -6,8 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from andkit import numerics
 from andkit.errors import DegenerateInputError, DimensionError
 from andkit.numerics import (
+    _CHUNK,
     SeededRng,
     derive_seed,
     l2_normalize,
@@ -134,6 +138,146 @@ class TestSeededRng:
     def test_permutation_deterministic(self):
         np.testing.assert_array_equal(SeededRng(5).permutation(50), SeededRng(5).permutation(50))
 
+    def test_known_first_draws(self):
+        zero, one = SeededRng(0), SeededRng(1)
+        assert [zero.next_u64() for _ in range(4)] == [
+            0x7BBCB40D550682D0, 0xDE7FE413D00CC9FD, 0xB3C638353C668C91, 0xE073AFC0949195FC
+        ]
+        assert [one.next_u64() for _ in range(4)] == [
+            0x4B46A55DF3611B9B, 0xD7E1F1410E763EF4, 0x5F14EC66975F9B06, 0x3B2C74FAD44D6CDB
+        ]
+
+    def test_known_permutation_and_uniforms(self):
+        assert SeededRng(5).permutation(10).tolist() == [5, 8, 9, 4, 7, 3, 6, 0, 2, 1]
+        expected = ["0x1.c0e221949f957p-1", "0x1.21438e9f30684p-2", "0x1.6771af89c3526p-1",
+                    "0x1.d29171cb55d36p-2"]  # dyadic: (draw >> 11) * 2**-53 is exact
+        assert SeededRng(3).uniforms(4).tolist() == [float.fromhex(h) for h in expected]
+
     def test_derive_seed_streams_distinct(self):
         seeds = {derive_seed(42, s) for s in range(16)}
         assert len(seeds) == 16
+
+
+MASK64 = (1 << 64) - 1
+BULK_SIZES = [0, 1, 2, 3, 7, 8, 100, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 3]
+
+
+def twin(rng):
+    """A generator in the same state, spare normal included."""
+    other = SeededRng(0)
+    other._state, other._spare_normal = rng._state, rng._spare_normal
+    return other
+
+
+def scalar_permutation(rng, n):
+    """Fisher-Yates on `randbelow`, one draw at a time: the oracle for `permutation`."""
+    perm = list(range(n))
+    for i in range(n - 1, 0, -1):
+        j = rng.randbelow(i + 1)
+        perm[i], perm[j] = perm[j], perm[i]
+    return perm
+
+
+def state_before(output):
+    """The state whose next `next_u64` returns `output`: finaliser and xorshifts undone."""
+    x = output * pow(0x2545F4914F6CDD1D, -1, 2**64) & MASK64
+    for shift in (27, -25, 12):  # the state step's xorshifts, last first
+        y = x
+        for _ in range(64 // abs(shift)):  # fixed point: each pass fixes `shift` more bits
+            x = y ^ (x >> shift if shift > 0 else (x << -shift) & MASK64)
+    return x
+
+
+class TestBulkDrawsEqualScalar:
+    """`uniforms`, `normals` and `permutation` give the scalar loops' bits and end state."""
+
+    @staticmethod
+    def assert_same_state(a, b):
+        assert a._state == b._state
+        assert a._spare_normal == b._spare_normal
+
+    @pytest.mark.parametrize("n", BULK_SIZES)
+    @pytest.mark.parametrize("seed", [0, 12345])
+    def test_uniforms(self, seed, n):
+        bulk, scalar = SeededRng(seed), SeededRng(seed)
+        expected = np.array([scalar.uniform() for _ in range(n)], dtype=np.float64)
+        assert bulk.uniforms(n).tobytes() == expected.tobytes()
+        self.assert_same_state(bulk, scalar)
+
+    @pytest.mark.parametrize("spare", [False, True])
+    @pytest.mark.parametrize("n", BULK_SIZES)
+    @pytest.mark.parametrize("seed", [0, 12345])
+    def test_normals(self, seed, n, spare):
+        bulk = SeededRng(seed)
+        if spare:
+            bulk.normal()
+            assert bulk._spare_normal is not None
+        scalar = twin(bulk)
+        expected = np.array([scalar.normal() for _ in range(n)], dtype=np.float64)
+        assert bulk.normals(n).tobytes() == expected.tobytes()
+        self.assert_same_state(bulk, scalar)
+        assert (bulk._spare_normal is not None) == ((n - spare) % 2 == 1)
+
+    @pytest.mark.parametrize("n", BULK_SIZES)
+    @pytest.mark.parametrize("seed", [0, 12345])
+    def test_permutation(self, seed, n):
+        bulk, scalar = SeededRng(seed), SeededRng(seed)
+        bulk.normal()  # a spare in hand: permutation neither reads nor drops it
+        scalar.normal()
+        perm = bulk.permutation(n)
+        assert perm.dtype == np.int64
+        assert perm.tolist() == scalar_permutation(scalar, n)
+        self.assert_same_state(bulk, scalar)
+
+    def test_calls_continue_one_stream(self):
+        bulk, scalar = SeededRng(7), SeededRng(7)
+        got = [bulk.normals((2, 3)), bulk.uniforms(5), bulk.normals(3), bulk.permutation(6)]
+        expected = [
+            [[scalar.normal() for _ in range(3)] for _ in range(2)],
+            [scalar.uniform() for _ in range(5)],
+            [scalar.normal() for _ in range(3)],
+            scalar_permutation(scalar, 6),
+        ]
+        assert got[0].shape == (2, 3)
+        for g, e in zip(got, expected):
+            assert g.tolist() == e
+        self.assert_same_state(bulk, scalar)
+
+    def test_rejected_draw_replays_randbelow(self):
+        # 2**64 - 1 >= 2**64 - 2**64 % 3, so randbelow(3) rejects it and draws again
+        rng = SeededRng(0)
+        rng._state = state_before(MASK64)
+        assert twin(rng).next_u64() == MASK64
+        assert MASK64 >= (1 << 64) - (1 << 64) % 3
+        scalar = twin(rng)
+        assert rng.permutation(3).tolist() == scalar_permutation(scalar, 3)
+        self.assert_same_state(rng, scalar)
+
+    def test_threads_building_the_jump_tables_at_once_agree(self, monkeypatch):
+        # in each round the threads start together on an empty table cache, switching often:
+        # a table another thread could see half built, or at the wrong span, changes some draws
+        n, seeds = 2 * _CHUNK + 3, range(8)
+        expected = {}
+        for seed in seeds:
+            scalar = SeededRng(seed)
+            expected[seed] = np.array([scalar.uniform() for _ in range(n)]).tobytes()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                monkeypatch.setattr(numerics, "_JUMPS", {})
+                got, start = {}, threading.Barrier(len(seeds))
+
+                def draw(seed):
+                    start.wait(timeout=60)
+                    got[seed] = SeededRng(seed).uniforms(n).tobytes()
+
+                threads = [threading.Thread(target=draw, args=(seed,)) for seed in seeds]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+                assert not any(t.is_alive() for t in threads)
+                assert got == expected
+        finally:
+            sys.setswitchinterval(interval)
