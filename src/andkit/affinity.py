@@ -15,13 +15,13 @@ time. `top_k` selects by partition rather than a full sort, and on a wide
 row it first keeps only the columns that a bound from group maxima cannot
 rule out (about sqrt(N * k) of them), so the kNN and neighbourhood passes
 hold no N-wide array beside the scores. The blocks run on up to two CPUs of
-the process's affinity mask (`taskset` limits them), each worker walking its
-own contiguous run of blocks, into score buffers that the calling thread
+the process's affinity mask (`taskset` limits them): the calling thread
+walks the first contiguous run of blocks and one helper thread, started and
+joined by each call, the other, into score buffers that the calling thread
 allocates once per call. Every output row depends only on its own row of
 scores, and the blocks are cut by the row count alone, never shorter than
-MIN_ROWS rows, so the bytes do not depend on the worker count. `Workers`,
-the helper threads that run the spans of a job beside the calling thread,
-serves both these blocks and the batch loss's row spans (`losses`).
+MIN_ROWS rows, so the bytes do not depend on the CPU count. This helper
+thread is the package's only one.
 
 All log/entropy values use the natural logarithm; only the entropy ordering
 matters for curriculum selection, so the base is a free choice. `entropy`
@@ -31,7 +31,6 @@ row's entropy straight from its scores, in log space.
 
 from __future__ import annotations
 
-import functools
 import math
 import os
 import threading
@@ -49,13 +48,13 @@ from .numerics import stable_softmax
 # entropy pass moves, the narrowed top-k and kNN passes stay within 4% of each
 # other from 128 rows up
 ROW_BLOCK = 256
-# fewest rows in a row block, bar a query matrix with fewer, and in a span of
-# the batch loss: OpenBLAS takes a matrix-vector path for one row, and on
-# x86-64 it rounded blocks of 2-11 rows differently from taller ones (d = 4
-# and 16, most bank sizes tried from 300 to 5001). Where the bank's row count
-# is not a multiple of 8 it also rounded a 128-row block differently from the
-# same rows cut into 64- or 32-row blocks (N = 513, 700, 1000, 2500, 9999),
-# so `row_blocks` cuts its grid by the row count alone, never by the workers
+# fewest rows in a row block, bar a query matrix with fewer: OpenBLAS takes
+# a matrix-vector path for one row, and on x86-64 it rounded blocks of 2-11
+# rows differently from taller ones (d = 4 and 16, most bank sizes tried from
+# 300 to 5001). Where the bank's row count is not a multiple of 8 it also
+# rounded a 128-row block differently from the same rows cut into 64- or
+# 32-row blocks (N = 513, 700, 1000, 2500, 9999), so `row_blocks` cuts its
+# grid by the row count alone, never by the CPUs
 MIN_ROWS = 32
 # top_k narrows a row to candidate columns only where it holds at least this
 # many columns per wanted one; on (128, m) blocks with k = 10 (one Xeon core)
@@ -79,97 +78,6 @@ def _cpus() -> int:
         return os.cpu_count() or 1
 
 
-def worker_spans(n: int, most: int) -> list[tuple[int, int]]:
-    """Near-equal contiguous spans [lo, hi) that cover range(n) in order.
-
-    One span per CPU in the affinity mask, but at most `most` and `n`, and at
-    least one.
-    """
-    parts = max(1, min(_cpus(), most, n))
-    edges = [n * s // parts for s in range(parts + 1)]
-    return list(zip(edges, edges[1:]))
-
-
-class Workers:
-    """Helper threads that run the spans of one job beside the calling thread.
-
-    `run(tasks)` calls every task once, the first in the calling thread and
-    each other one in a helper thread, and returns when all have returned;
-    an exception a task raises is raised again there. The helpers start on
-    first need and then wait for the next job, so a caller with many jobs
-    (the batch loss, every batch of a `train` run) pays for a thread's start
-    once; `close`, or leaving a `with` block, joins them. A helper drops its
-    task before it answers, so nothing a task holds (views of the caller's
-    buffers) outlives the job.
-    """
-
-    def __init__(self):
-        self._helpers: list[_Helper] = []
-
-    def __enter__(self) -> Workers:
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-    def run(self, tasks) -> None:
-        helpers = len(tasks) - 1
-        while len(self._helpers) < helpers:
-            self._helpers.append(_Helper())
-        for helper, task in zip(self._helpers, tasks[1:]):
-            helper.start(task)
-        try:
-            tasks[0]()
-        finally:
-            errors = [helper.finish() for helper in self._helpers[:helpers]]
-        for error in errors:
-            if error is not None:
-                raise error
-
-    def close(self) -> None:
-        for helper in self._helpers:
-            helper.start(None)
-            helper.thread.join()
-        self._helpers.clear()
-
-
-class _Helper:
-    """One thread of `Workers`: it runs a task per `start`, until given None."""
-
-    def __init__(self):
-        self._task = None
-        self._error = None
-        self._todo = threading.Semaphore(0)
-        self._done = threading.Semaphore(0)
-        # a plain thread: threading is loaded with numpy anyway, while importing
-        # concurrent.futures cost 5.5 ms in every process that pools
-        self.thread = threading.Thread(target=self._loop, daemon=True)
-        self.thread.start()
-
-    def start(self, task) -> None:
-        self._task = task
-        self._todo.release()
-
-    def finish(self) -> BaseException | None:
-        """Wait for the task given last; return what it raised, or None."""
-        self._done.acquire()
-        error, self._error = self._error, None
-        return error
-
-    def _loop(self) -> None:
-        while True:
-            self._todo.acquire()
-            task, self._task = self._task, None
-            if task is None:
-                return
-            try:
-                task()
-            except BaseException as err:  # raised again in the calling thread by Workers.run
-                self._error = err
-            del task  # before answering: the caller may free what the task holds
-            self._done.release()
-
-
 def row_blocks(queries: np.ndarray, keys: np.ndarray, fn, exclude_self: bool = False,
                scratch: bool = False) -> None:
     """Call fn(start, scores) on every row block of queries @ keys.T.
@@ -178,13 +86,14 @@ def row_blocks(queries: np.ndarray, keys: np.ndarray, fn, exclude_self: bool = F
     the call is fn(start, scores, aux), where `aux` is a float64 scratch block
     of the same shape for `fn` to use. The query rows are cut into near-equal
     blocks of at most ROW_BLOCK // 2 rows, a grid that depends on the row count
-    alone, so no block is shorter than MIN_ROWS unless the queries are. The
-    workers are the CPUs in the affinity mask, at most two (ROW_BLOCK rows of
-    scores in flight) and at most one per block; each walks one contiguous run
-    of whole blocks, the calling thread the first run and a `Workers` helper,
-    joined before this returns, the other (with one worker the blocks run
-    inline). `fn` runs on several threads at once and must write only its own
-    rows of any shared output; an exception it raises is raised again here.
+    alone, so no block is shorter than MIN_ROWS unless the queries are. Where
+    the affinity mask holds two CPUs or more and there are two blocks or more,
+    the calling thread walks the first half of the blocks and a helper thread
+    the second, each into its own buffers (ROW_BLOCK rows of scores in flight);
+    else the blocks run inline. `fn` may then run on two threads at once and
+    must write only its own rows of any shared output. The helper is joined
+    before this returns or raises, and an exception `fn` raises in either
+    thread is raised again here.
 
     With `exclude_self`, query row i is key row i and its own score is -inf,
     so it never ranks as its own neighbour.
@@ -195,8 +104,10 @@ def row_blocks(queries: np.ndarray, keys: np.ndarray, fn, exclude_self: bool = F
     count = -(-n // (ROW_BLOCK // 2))
     edges = [n * b // count for b in range(count + 1)]
     height = -(-n // count)
-    # each worker's scores block, then any aux block, allocated here before any worker starts
-    buffers = 2 if scratch else 1
+
+    def buffers() -> list[np.ndarray]:
+        """A run's scores block, then any aux block."""
+        return [np.empty((height, m)) for _ in range(2 if scratch else 1)]
 
     def walk(first, last, scores, *extra) -> None:
         for start, stop in zip(edges[first:last], edges[first + 1:last + 1]):
@@ -207,13 +118,29 @@ def row_blocks(queries: np.ndarray, keys: np.ndarray, fn, exclude_self: bool = F
                 block[rows, start + rows] = -np.inf
             fn(start, block, *(buf[:stop - start] for buf in extra))
 
-    # two workers at most, so ROW_BLOCK rows of scores are in flight
-    tasks = [
-        functools.partial(walk, first, last, *(np.empty((height, m)) for _ in range(buffers)))
-        for first, last in worker_spans(count, 2)
-    ]
-    with Workers() as pool:
-        pool.run(tasks)
+    cut = count // min(_cpus(), 2, count)  # the helper's run starts at block `cut`
+    if cut == count:
+        walk(0, count, *buffers())
+        return
+    own, other = buffers(), buffers()  # allocated here, before the helper starts
+    raised = []
+
+    def helper() -> None:
+        try:
+            walk(cut, count, *other)
+        except BaseException as err:  # raised again in the calling thread below
+            raised.append(err)
+
+    # a plain thread: threading is loaded with numpy anyway, while importing
+    # concurrent.futures cost 5.5 ms in every process that pools
+    thread = threading.Thread(target=helper, daemon=True)
+    thread.start()
+    try:
+        walk(0, cut, *own)
+    finally:
+        thread.join()
+    if raised:
+        raise raised[0]
 
 
 def _select(scores: np.ndarray, k: int) -> np.ndarray:

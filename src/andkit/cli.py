@@ -312,7 +312,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ev.add_argument("--knn-k", dest="k_eval", type=int)
     ev.add_argument("--tau", type=float, default=DEFAULT_EVAL_TAU)
-    ev.add_argument("--probe", action="store_true", default=False, help="also train a linear probe")
+    ev.add_argument(
+        "--probe",
+        action="store_true",
+        default=False,
+        help="also fit a linear probe on --bank-data and score it on --data; without"
+        " --bank-data it is fit and scored on --data, not a held-out score",
+    )
     ev.add_argument("--probe-epochs", dest="epochs", type=int)
     ev.add_argument("--probe-lr", dest="lr", type=float)
     ev.add_argument("--out", default=None, help="write the JSON report here instead of stdout")

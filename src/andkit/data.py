@@ -199,11 +199,22 @@ def load_csv(path) -> Dataset:
 
 
 def save_bin(dataset: Dataset, path) -> None:
-    """Write `dataset` in the binary format, whole or not at all (`write_atomic`)."""
+    """Write `dataset` in the binary format, whole or not at all (`write_atomic`).
+
+    An input whose float32 cast is not finite, which `load_bin` would refuse,
+    is refused before anything is written.
+    """
     has_labels = dataset.labels is not None
+    with np.errstate(over="ignore"):
+        inputs = np.ascontiguousarray(dataset.inputs, dtype="<f4")
+    if not np.isfinite(inputs).all():
+        raise ConfigurationError(
+            f"{path}: an input value is not finite as float32, the binary format's cell;"
+            " a finite value beyond float32's range fits a .csv file instead"
+        )
     parts = [
         _HEADER.pack(_MAGIC, _VERSION, int(has_labels), 0, dataset.n, dataset.dim),
-        np.ascontiguousarray(dataset.inputs, dtype="<f4").tobytes(),
+        inputs.tobytes(),
     ]
     if has_labels:
         parts.append(np.ascontiguousarray(dataset.labels, dtype="<i4").tobytes())

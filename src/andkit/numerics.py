@@ -8,10 +8,16 @@ Vectors are plain 1-D ``numpy.ndarray`` values and matrices are row-major
 
 The RNG is xorshift64* (Marsaglia's 64-bit xorshift with a multiplicative
 finaliser), seeded through one splitmix64 mixing step. The algorithm is
-fixed on purpose: identical seeds must reproduce identical streams on every
-platform, which is the bedrock of the reproducibility guarantees elsewhere
-in the package. The bulk draws jump the stream ahead in numpy, through byte
-tables of the state step's powers, and keep the scalar loops' bits.
+fixed on purpose, the bedrock of the reproducibility guarantees elsewhere
+in the package: from one seed, the integer draws (`next_u64`, `randbelow`,
+`permutation`) and the uniforms (`uniform`, `uniforms`: the top 53 bits of
+a draw, scaled exactly) are the same on every platform. The normals
+(`normal`, `normals`) take log, cos and sin from the platform's libm, which
+is not correctly rounded, so their last bits follow it, and so do the data
+`generate_blobs` draws and the initial memory bank (`memory.init_bank`):
+equal from run to run on one platform, not promised across two. The bulk
+draws jump the stream ahead in numpy, through byte tables of the state
+step's powers, and keep the scalar loops' bits.
 """
 
 from __future__ import annotations

@@ -61,7 +61,7 @@ from typing import Callable
 
 import numpy as np
 
-from .affinity import Workers, build_neighbourhoods, row_blocks
+from .affinity import build_neighbourhoods, row_blocks
 from .data import make_batches, write_atomic
 from .encoder import (
     EncoderConfig,
@@ -287,6 +287,8 @@ def train(
     batch shuffling. `monitor`, when given, is called once per round with
     (round, plan, bank, params) and may return extra MetricsRecord fields
     (consistency counts, kNN accuracy) merged into that round's records.
+    The batch losses run in the calling thread; each row-block pass of a
+    plan or monitor starts and joins its own helper (`affinity.row_blocks`).
     """
     x = np.asarray(inputs, dtype=np.float64)
     if x.ndim != 2:
@@ -307,41 +309,32 @@ def train(
     records: list[MetricsRecord] = []
     # round 0 is the warm-up: it selects no anchor, so every sample trains on its instance term
     plan = RoundPlan(np.zeros(n), np.zeros(n, dtype=bool), np.arange(n)[:, None])
-    # the batch loss's helper threads, started by its first batch large enough to split
-    with Workers() as workers:
-        for r in range(config.rounds + 1):
-            if r and (r == 1 or not config.one_off):  # one-off plans once and never re-plans
-                plan = plan_round(bank, config, r)
-            extra = dict(monitor(r, plan, bank, params)) if r and monitor is not None else {}
-            # the batch loss's scores, then their exps, allocated once a round;
-            # the plan and monitor above run without it, so the two never stack up
-            work = np.empty((batch_size, n))
-            for e in range(config.epochs_per_round if r else config.init_epochs_resolved):
-                lr = lr_at(e, config.base_lr, config.epochs_per_round)
-                loss_sum = 0.0
-                for batch in make_batches(n, batch_size, batch_rng):
-                    try:
-                        feats, cache = forward(params, x[batch])
-                    except DegenerateInputError as err:  # err.row is the row within the batch
-                        raise DegenerateInputError(f"sample {int(batch[err.row])}: {err}") from err
-                    loss, gfeats = round_batch_loss(
-                        feats, plan.batch_members(batch), bank, config.tau,
-                        work=work[:batch.size], workers=workers,
-                    )
-                    grads = backward(params, cache, gfeats)
-                    sgd_nesterov_step(params, grads, velocity, lr, config.momentum)
-                    update_batch(bank, batch, feats, config.eta)
-                    loss_sum += loss * batch.size
-                records.append(
-                    MetricsRecord(
-                        round=r,
-                        epoch=len(records),
-                        mean_loss=loss_sum / n,
-                        selected_fraction=float(plan.selected.mean()),
-                        **extra,
-                    )
+    for r in range(config.rounds + 1):
+        if r and (r == 1 or not config.one_off):  # one-off plans once and never re-plans
+            plan = plan_round(bank, config, r)
+        extra = dict(monitor(r, plan, bank, params)) if r and monitor is not None else {}
+        for e in range(config.epochs_per_round if r else config.init_epochs_resolved):
+            lr = lr_at(e, config.base_lr, config.epochs_per_round)
+            loss_sum = 0.0
+            for batch in make_batches(n, batch_size, batch_rng):
+                try:
+                    feats, cache = forward(params, x[batch])
+                except DegenerateInputError as err:  # err.row is the row within the batch
+                    raise DegenerateInputError(f"sample {int(batch[err.row])}: {err}") from err
+                loss, gfeats = round_batch_loss(feats, plan.batch_members(batch), bank, config.tau)
+                grads = backward(params, cache, gfeats)
+                sgd_nesterov_step(params, grads, velocity, lr, config.momentum)
+                update_batch(bank, batch, feats, config.eta)
+                loss_sum += loss * batch.size
+            records.append(
+                MetricsRecord(
+                    round=r,
+                    epoch=len(records),
+                    mean_loss=loss_sum / n,
+                    selected_fraction=float(plan.selected.mean()),
+                    **extra,
                 )
-            del work
+            )
     return params, bank, records
 
 

@@ -53,8 +53,8 @@ def dyadic_matrix(n, d, seed):
 
 
 # Dense reference kernels: the plain form that `numerics.stable_softmax` had
-# before its temporaries were cut, `losses.round_batch_loss` without its row
-# spans and work buffer, `pipeline.bank_entropies` without its row blocks and
+# before its temporaries were cut, `losses.round_batch_loss` without its
+# in-place passes, `pipeline.bank_entropies` without its row blocks and
 # scratch buffers, and `data.generate_blobs` before its per-sample loop became
 # one draw. The production code must match them bit for bit.
 
@@ -77,9 +77,8 @@ def dense_entropies(scores, tau):
 def dense_batch_loss(feats, members, bank, tau):
     """Mean batch loss and gradients in log space, over the whole batch in new arrays.
 
-    The production formula (see `losses`) without its row spans, work buffer
-    or in-place passes; e @ M is summed over the same 256-row bank panels, in
-    the same order.
+    The production formula (see `losses`) without its in-place passes; e @ M
+    is summed over the same 256-row bank panels, in the same order.
     """
     m = bank.features
     s = (feats / tau) @ m.T

@@ -58,6 +58,19 @@ class TestGenerate:
             run("generate", "--classes", 4, "--per-class", 10, "--dim", 8)
         assert exc.value.code == 2
 
+    def test_data_beyond_float32_is_a_usage_error_naming_csv(self, tmp_path, capsys):
+        argv = ("generate", "--classes", 2, "--per-class", 3, "--dim", 2,
+                "--center-scale", 1e39, "--seed", 1)
+        assert run(*argv, "--out", tmp_path / "big.ands") == 2
+        assert ".csv" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []  # no file and no temporary file
+        assert run(*argv, "--out", tmp_path / "big.csv") == 0
+        code = run(
+            "train", "--data", tmp_path / "big.csv", "--layers", "2,2", "--batch-size", 6,
+            "--k", 2, "--rounds", 1, "--epochs", 1, "--out", tmp_path / "r",
+        )
+        assert code == 0
+
     def test_bad_flag_values_are_usage_errors(self, tmp_path, blob_file, run_dir, capsys):
         code = run(
             "generate", "--classes", 1, "--per-class", 10, "--dim", 8,

@@ -187,6 +187,21 @@ class TestBinRoundTrip:
         with pytest.raises(FormatError, match="non-finite"):
             load_bin(path)
 
+    def test_float32_overflow_refused_before_writing(self, tmp_path):
+        top = float(np.finfo(np.float32).max)
+        path = tmp_path / "big.ands"
+        save_bin(Dataset(inputs=np.array([[top, 1.0], [-top, 0.0]])), path)  # the edge still fits
+        assert load_bin(path).inputs[:, 0].tolist() == [top, -top]
+        old = path.read_bytes()
+        for big in (1e39, -1e39, 2 * top):
+            with pytest.raises(ConfigurationError, match=r"float32.*\.csv"):
+                save_bin(Dataset(inputs=np.array([[1.0, 2.0], [big, 0.0]])), path)
+            assert path.read_bytes() == old  # neither replaced nor left a temporary beside it
+            assert [p.name for p in tmp_path.iterdir()] == ["big.ands"]
+            with pytest.raises(ConfigurationError):
+                save_bin(Dataset(inputs=np.array([[1.0, 2.0], [big, 0.0]])), tmp_path / "new.ands")
+            assert [p.name for p in tmp_path.iterdir()] == ["big.ands"]
+
     def test_truncated_payload_rejected(self, tmp_path):
         ds = generate_blobs(BlobSpec(2, 3, 4, seed=2))
         path = tmp_path / "trunc.ands"

@@ -202,6 +202,17 @@ class TestRoundBatchLossLean:
         assert loss == oracle_loss
         np.testing.assert_array_equal(grads, oracle_grads)
 
+    @pytest.mark.parametrize("b", [128, 37])  # a full batch and a short last one
+    def test_padded_instance_rows_match_dense_target(self, b):
+        bank = random_bank(300, 8, seed=72)
+        feats = random_bank(b, 8, seed=73).features
+        members = (np.arange(b)[:, None] * 7 + np.arange(5)) % 300
+        members[::4, 1:] = members[::4, :1]  # instance rows, padded with their anchor
+        loss, grads = round_batch_loss(feats, members, bank, 0.07)
+        oracle_loss, oracle_grads = dense_batch_loss(feats, members, bank, 0.07)
+        assert loss == oracle_loss
+        np.testing.assert_array_equal(grads, oracle_grads)
+
     def test_peak_memory_is_one_score_matrix(self):
         n, b = 4000, 128
         bank = random_bank(n, 16, seed=31)

@@ -1,33 +1,27 @@
-"""Workers: the N x N kernels and the batch loss give the same bits at every worker count.
+"""Threads: the N x N kernels give the same bits at every worker count, and leave none behind.
 
-`affinity.row_blocks` runs its score blocks, and `round_batch_loss` the rows
-between its two products, on the CPUs in the affinity mask. Each test pins
-the worker count by patching `affinity._cpus`: 3 workers cut the rows into
-uneven spans even on a 2-CPU machine. Dyadic rows keep every product exact,
-so a block's scores never depend on where its rows start; random unit rows
-at bank sizes that are not a multiple of 8 do not, and OpenBLAS rounds such
-products differently by block height.
+`affinity.row_blocks` runs its score blocks on up to two CPUs of the
+affinity mask: the calling thread walks the first run of blocks and one
+helper thread, started and joined by each call, the other. The batch loss
+runs in the calling thread. Each test pins the worker count by patching
+`affinity._cpus`: 3 CPUs still mean two runs. Dyadic rows keep every product
+exact, so a block's scores never depend on where its rows start; random unit
+rows at bank sizes that are not a multiple of 8 do not, and OpenBLAS rounds
+such products differently by block height.
 """
 
-import functools
 import os
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from andkit import affinity, losses
-from andkit.affinity import (
-    MIN_ROWS,
-    PREFILTER,
-    ROW_BLOCK,
-    Workers,
-    build_neighbourhoods,
-    row_blocks,
-)
+from andkit import affinity
+from andkit.affinity import MIN_ROWS, PREFILTER, ROW_BLOCK, build_neighbourhoods, row_blocks
 from andkit.evaluation import knn_predict_batch
 from andkit.losses import round_batch_loss
 from andkit.memory import FeatureBank
@@ -84,12 +78,33 @@ class TestSpans:
         assert len(threads) == min(workers, 2, count)
 
     def test_worker_error_propagates(self, monkeypatch):
+        # 300 rows are three blocks: the calling thread walks block 0, the helper blocks 1 and 2
+        threads = threading.active_count()
+
         def fail(start, scores):
             if start:
                 raise ValueError("block failed")
 
         with pytest.raises(ValueError, match="block failed"):
             at_workers(monkeypatch, 2, row_blocks, np.ones((300, 2)), np.ones((3, 2)), fail)
+        assert threading.active_count() == threads
+
+    def test_caller_error_propagates(self, monkeypatch):
+        threads = threading.active_count()
+        helper = []  # (start, thread) of the blocks the helper walked
+
+        def fail(start, scores):
+            if not start:
+                raise ValueError("first block failed")
+            time.sleep(0.05)  # the helper is still busy when the calling thread raises
+            helper.append((start, threading.current_thread()))
+
+        with pytest.raises(ValueError, match="first block failed"):
+            at_workers(monkeypatch, 2, row_blocks, np.ones((300, 2)), np.ones((3, 2)), fail)
+        assert threading.active_count() == threads
+        # the helper ran its whole run in its own thread, joined before the error was raised
+        assert [start for start, _ in helper] == [100, 200]
+        assert threading.current_thread() not in {thread for _, thread in helper}
 
 
 @pytest.mark.parametrize("n", SIZES)
@@ -137,26 +152,6 @@ class TestWorkerInvariance:
         assert_worker_invariant(monkeypatch, loss_and_grads)
 
 
-class CountingWorkers(Workers):
-    """A Workers pool that records how many tasks each job had."""
-
-    def __init__(self):
-        super().__init__()
-        self.spans = []
-
-    def run(self, tasks):
-        self.spans.append(len(tasks))
-        super().run(tasks)
-
-
-def split_batch_loss(monkeypatch, workers, feats, members, bank, tau):
-    """round_batch_loss through a pool at a pinned CPU count; also the spans it ran."""
-    monkeypatch.setattr(affinity, "_cpus", lambda: workers)
-    with CountingWorkers() as pool:
-        loss, grads = round_batch_loss(feats, members, bank, tau, workers=pool)
-    return loss, grads, pool.spans
-
-
 @pytest.mark.parametrize("n", [513, 2500])
 class TestRoundedBanks:
     """Random unit banks whose row count is not a multiple of 8: products round by block height."""
@@ -172,77 +167,19 @@ class TestRoundedBanks:
         bank = random_bank(n, 16, seed=n + 3)
         assert_worker_invariant(monkeypatch, bank_entropies, bank, 1e-4)
 
-    @pytest.mark.parametrize("workers", [1, 2, 3])
-    def test_split_batch_loss_equals_the_dense_oracle(self, monkeypatch, n, workers):
-        monkeypatch.setattr(losses, "SPLIT_SCORES", 1)  # split whatever the bank size
+    def test_batch_loss_equals_the_dense_oracle(self, n):
         bank = random_bank(n, 16, seed=n + 1)
         feats = random_bank(128, 16, seed=n + 2).features
         members = (np.arange(128)[:, None] * 7 + np.arange(11)) % n
         members[::3, 1:] = members[::3, :1]  # instance rows, padded with their anchor
-        loss, grads, spans = split_batch_loss(monkeypatch, workers, feats, members, bank, 0.07)
-        assert spans == [workers]
+        loss, grads = round_batch_loss(feats, members, bank, 0.07)
         oracle_loss, oracle_grads = dense_batch_loss(feats, members, bank, 0.07)
         assert loss == oracle_loss
         np.testing.assert_array_equal(grads, oracle_grads)
 
 
-class TestBatchLossSplit:
-    def test_splits_only_where_each_span_holds_enough_scores(self, monkeypatch):
-        feats = random_bank(128, 16, seed=75).features
-        members = np.arange(128)[:, None]
-        spans = {}
-        for n in (400, 3999, 4000, 5000):  # 400: the desk workload's batches stay inline
-            bank = random_bank(n, 16, seed=n)
-            spans[n] = split_batch_loss(monkeypatch, 2, feats, members % n, bank, 0.07)[2]
-        assert spans == {400: [], 3999: [], 4000: [2], 5000: [2]}  # []: inline, the pool never runs
-        # a short last batch stays inline, whatever the bank size
-        short = split_batch_loss(monkeypatch, 2, feats[:40], members[:40], bank, 0.07)[2]
-        assert short == []
-
-    def test_error_in_a_helper_span_is_raised_in_the_caller(self, monkeypatch):
-        bank = random_bank(2500, 16, seed=76)
-        feats = random_bank(128, 16, seed=77).features
-        members = np.arange(128)[:, None].copy()
-        # out of range in the last row, the helper's; the member gather raises before the
-        # spans run (test_workers_run_every_task_and_raise_a_helper_error covers a helper)
-        members[-1] = bank.n
-        with pytest.raises(IndexError):
-            split_batch_loss(monkeypatch, 2, feats, members, bank, 0.07)
-
-    def test_workers_run_every_task_and_raise_a_helper_error(self):
-        done = []
-
-        def fail():
-            raise ValueError("helper failed")
-
-        with Workers() as pool:
-            pool.run([lambda: done.append(threading.current_thread())] * 3)
-            with pytest.raises(ValueError, match="helper failed"):
-                pool.run([lambda: None, fail])
-            pool.run([lambda: done.append(0), lambda: done.append(1)])  # the pool still works
-        assert done[0] is threading.current_thread() and len(set(done[:3])) == 3
-        assert sorted(done[3:]) == [0, 1]
-
-    def test_every_task_is_done_when_run_returns(self):
-        # more helpers than cores and a short switch interval, to shake out a lost wake-up
-        counts = [0] * 4
-
-        def bump(i):
-            counts[i] += 1  # each task owns its slot
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            with Workers() as pool:
-                for job in range(1, 301):
-                    pool.run([functools.partial(bump, i) for i in range(4)])
-                    assert counts == [job] * 4
-        finally:
-            sys.setswitchinterval(interval)
-
-
 class TestTrainThreads:
-    """train starts the batch loss's helper at most once and joins it however it ends."""
+    """train starts only the row-block passes' helpers and joins each however it ends."""
 
     @staticmethod
     def started_threads(monkeypatch):
@@ -259,12 +196,12 @@ class TestTrainThreads:
         return TrainConfig(layer_sizes=(4, 8), rounds=2, epochs_per_round=1, init_epochs=1, seed=5)
 
     def test_no_thread_left_after_train_returns(self, monkeypatch):
-        inputs = SeededRng(78).normals((4000, 4))  # 128 x 4000 scores a batch: the loss splits
+        inputs = SeededRng(78).normals((4000, 4))  # 128 x 4000 scores a batch, still no thread
         started = self.started_threads(monkeypatch)
         config = self.config()
         train(inputs, config)
-        # one helper serves every batch of the run; each plan's two row-block passes start one
-        assert len(started) == 1 + 2 * config.rounds
+        # each plan's two row-block passes start one helper; the batch losses start none
+        assert len(started) == 2 * config.rounds
         assert not any(thread.is_alive() for thread in started)
 
     def test_no_thread_left_after_train_raises(self, monkeypatch):
@@ -305,30 +242,6 @@ class TestPrefilteredRows:
             monkeypatch, knn_predict_batch, bank.features, bank, labels, leave_one_out=True
         )
         assert_worker_invariant(monkeypatch, knn_predict_batch, bank.features[:300], bank, labels)
-
-
-class TestScratchBuffers:
-    @pytest.mark.parametrize("b", [128, 37])  # a full batch and a short last one
-    def test_round_batch_loss_with_and_without_work(self, b):
-        bank = random_bank(300, 8, seed=72)
-        feats = random_bank(b, 8, seed=73).features
-        members = (np.arange(b)[:, None] * 7 + np.arange(5)) % 300
-        members[::4, 1:] = members[::4, :1]  # instance rows, padded with their anchor
-        work = np.full((128, 300), np.nan)  # a stale buffer, as train reuses one per round
-        loss, grads = round_batch_loss(feats, members, bank, 0.07, work=work[:b])
-        plain_loss, plain_grads = round_batch_loss(feats, members, bank, 0.07)
-        oracle_loss, oracle_grads = dense_batch_loss(feats, members, bank, 0.07)
-        assert loss == plain_loss == oracle_loss
-        np.testing.assert_array_equal(grads, plain_grads)
-        np.testing.assert_array_equal(grads, oracle_grads)
-
-    def test_round_batch_loss_rejects_a_misfit_work_buffer(self):
-        from andkit.errors import ContractError
-
-        bank = random_bank(30, 4, seed=74)
-        feats = bank.features[:5]
-        with pytest.raises(ContractError, match="work buffer"):
-            round_batch_loss(feats, np.arange(5)[:, None], bank, 0.07, work=np.empty((6, 30)))
 
 
 def test_cli_import_loads_no_pool_and_a_pooled_plan_leaves_no_thread():
