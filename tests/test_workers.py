@@ -167,12 +167,20 @@ class TestRoundedBanks:
         bank = random_bank(n, 16, seed=n + 3)
         assert_worker_invariant(monkeypatch, bank_entropies, bank, 1e-4)
 
-    def test_batch_loss_equals_the_dense_oracle(self, n):
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_split_batch_loss_equals_the_dense_oracle(self, monkeypatch, n, workers):
+        # the loss no longer splits its rows: at every CPU count it runs whole in the caller
+        started = []
+        start = threading.Thread.start
+        monkeypatch.setattr(
+            threading.Thread, "start", lambda self: (started.append(self), start(self))[1]
+        )
         bank = random_bank(n, 16, seed=n + 1)
         feats = random_bank(128, 16, seed=n + 2).features
         members = (np.arange(128)[:, None] * 7 + np.arange(11)) % n
         members[::3, 1:] = members[::3, :1]  # instance rows, padded with their anchor
-        loss, grads = round_batch_loss(feats, members, bank, 0.07)
+        loss, grads = at_workers(monkeypatch, workers, round_batch_loss, feats, members, bank, 0.07)
+        assert started == []
         oracle_loss, oracle_grads = dense_batch_loss(feats, members, bank, 0.07)
         assert loss == oracle_loss
         np.testing.assert_array_equal(grads, oracle_grads)
