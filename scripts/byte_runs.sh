@@ -1,0 +1,62 @@
+#!/usr/bin/env bash
+# The command-line runs whose outputs CI compares byte for byte: one tree pinned to one core
+# against the same tree on every core, and a change's tree against its base commit's.
+#
+# Usage: PYTHONPATH=<tree>/src [taskset -c 0] bash scripts/byte_runs.sh OUT_DIR
+#
+# Every command runs as `python3 -m andkit.cli`, so the caller's PYTHONPATH picks the tree
+# under test. BLAS keeps one thread, since at N = 2500 its thread count moves the batch loss's
+# score bits. The datasets are generated into OUT_DIR, and the runs write there:
+#   OUT_DIR/         the README walkthrough's train, eval --probe and inspect (N = 400)
+#   OUT_DIR/wide/    one round at N = 5000 and k = 10: rows wide enough that the top-k narrows
+#                    them to candidate columns first, and 40 row blocks a pass
+#   OUT_DIR/odd/     two rounds at N = 2500, a bank whose row count is not a multiple of 8,
+#                    where OpenBLAS rounds a product differently by block height
+#   OUT_DIR/cold/    two rounds at tau = 0.003, planned on cold rows: about half of each row's
+#                    exp(s) lies below 1e-16 of its maximum, too small to move the row sum
+#   OUT_DIR/colder/  two rounds at tau = 0.001, where most of a row's softmax mass underflows
+#                    to 0, so only a loss taken in log space stays finite
+set -euo pipefail
+
+if [ $# -ne 1 ]; then
+  echo "usage: bash scripts/byte_runs.sh OUT_DIR" >&2
+  exit 2
+fi
+out="$1"
+mkdir -p "$out"
+export OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=1
+
+andkit() { python3 -m andkit.cli "$@"; }
+
+andkit generate --classes 4 --per-class 100 --dim 32 --seed 7 --out "$out/blobs.ands"
+andkit generate --classes 4 --per-class 1250 --dim 32 --seed 7 --out "$out/wide.ands"
+andkit generate --classes 4 --per-class 625 --dim 32 --seed 7 --out "$out/odd.ands"
+
+andkit train --data "$out/blobs.ands" --rounds 4 --epochs 20 --seed 1 --layers 64,16 \
+  --lr 3.84 --out "$out/"
+andkit eval --checkpoint "$out/checkpoint.andc" --data "$out/blobs.ands" --probe \
+  --out "$out/eval.json"
+andkit inspect --checkpoint "$out/checkpoint.andc" --data "$out/blobs.ands" --round 2 \
+  --out "$out/inspect.csv"
+
+andkit train --data "$out/wide.ands" --rounds 1 --epochs 1 --init-epochs 1 --k 10 --seed 1 \
+  --layers 64,16 --out "$out/wide/"
+andkit eval --checkpoint "$out/wide/checkpoint.andc" --data "$out/wide.ands" --probe \
+  --out "$out/wide/eval.json"
+andkit inspect --checkpoint "$out/wide/checkpoint.andc" --data "$out/wide.ands" --round 1 \
+  --out "$out/wide/inspect.csv"
+
+andkit train --data "$out/odd.ands" --rounds 2 --epochs 1 --init-epochs 1 --k 10 --seed 1 \
+  --layers 64,16 --out "$out/odd/"
+andkit eval --checkpoint "$out/odd/checkpoint.andc" --data "$out/odd.ands" --probe \
+  --out "$out/odd/eval.json"
+andkit inspect --checkpoint "$out/odd/checkpoint.andc" --data "$out/odd.ands" --round 2 \
+  --out "$out/odd/inspect.csv"
+
+andkit train --data "$out/blobs.ands" --rounds 2 --epochs 1 --init-epochs 1 --k 5 \
+  --tau 0.003 --seed 1 --layers 64,16 --out "$out/cold/"
+andkit inspect --checkpoint "$out/cold/checkpoint.andc" --data "$out/blobs.ands" --round 2 \
+  --out "$out/cold/inspect.csv"
+
+andkit train --data "$out/blobs.ands" --rounds 2 --epochs 1 --init-epochs 1 --k 5 \
+  --tau 0.001 --seed 1 --layers 64,16 --out "$out/colder/"

@@ -14,14 +14,15 @@ planning, kNN evaluation and `inspect` hold O(ROW_BLOCK * N) scores at a
 time. `top_k` selects by partition rather than a full sort, and on a wide
 row it first keeps only the columns that a bound from group maxima cannot
 rule out (about sqrt(N * k) of them), so the kNN and neighbourhood passes
-hold no N-wide array beside the scores. The blocks run on up to two CPUs of
-the process's affinity mask (`taskset` limits them): the calling thread
-walks the first contiguous run of blocks and one helper thread, started and
-joined by each call, the other, into score buffers that the calling thread
-allocates once per call. Every output row depends only on its own row of
-scores, and the blocks are cut by the row count alone, never shorter than
-MIN_ROWS rows, so the bytes do not depend on the CPU count. This helper
-thread is the package's only one.
+hold no N-wide array beside the scores (the entropy pass one of MIN_ROWS
+rows). The blocks run on up to two CPUs of the process's affinity mask
+(`taskset` limits them): the calling thread walks the first contiguous run
+of blocks and one helper thread, started and joined by each call, the
+other, each into one score buffer that the calling thread allocates once
+per call. Every output row depends only on its own row of scores, and the
+blocks are cut by the row count alone, never shorter than MIN_ROWS rows, so
+the bytes do not depend on the CPU count. This helper thread is the
+package's only one.
 
 All log/entropy values use the natural logarithm; only the entropy ordering
 matters for curriculum selection, so the base is a free choice. `entropy`
@@ -78,18 +79,16 @@ def _cpus() -> int:
         return os.cpu_count() or 1
 
 
-def row_blocks(queries: np.ndarray, keys: np.ndarray, fn, exclude_self: bool = False,
-               scratch: bool = False) -> None:
+def row_blocks(queries: np.ndarray, keys: np.ndarray, fn, exclude_self: bool = False) -> None:
     """Call fn(start, scores) on every row block of queries @ keys.T.
 
-    `scores` holds queries[start:start + len(scores)] @ keys.T; with `scratch`,
-    the call is fn(start, scores, aux), where `aux` is a float64 scratch block
-    of the same shape for `fn` to use. The query rows are cut into near-equal
-    blocks of at most ROW_BLOCK // 2 rows, a grid that depends on the row count
-    alone, so no block is shorter than MIN_ROWS unless the queries are. Where
+    `scores` holds queries[start:start + len(scores)] @ keys.T, in a buffer
+    that `fn` may overwrite. The query rows are cut into near-equal blocks of
+    at most ROW_BLOCK // 2 rows, a grid that depends on the row count alone,
+    so no block is shorter than MIN_ROWS unless the queries are. Where
     the affinity mask holds two CPUs or more and there are two blocks or more,
     the calling thread walks the first half of the blocks and a helper thread
-    the second, each into its own buffers (ROW_BLOCK rows of scores in flight);
+    the second, each into its own buffer (ROW_BLOCK rows of scores in flight);
     else the blocks run inline. `fn` may then run on two threads at once and
     must write only its own rows of any shared output. The helper is joined
     before this returns or raises, and an exception `fn` raises in either
@@ -105,29 +104,25 @@ def row_blocks(queries: np.ndarray, keys: np.ndarray, fn, exclude_self: bool = F
     edges = [n * b // count for b in range(count + 1)]
     height = -(-n // count)
 
-    def buffers() -> list[np.ndarray]:
-        """A run's scores block, then any aux block."""
-        return [np.empty((height, m)) for _ in range(2 if scratch else 1)]
-
-    def walk(first, last, scores, *extra) -> None:
+    def walk(first, last, scores) -> None:
         for start, stop in zip(edges[first:last], edges[first + 1:last + 1]):
             block = scores[:stop - start]
             np.matmul(queries[start:stop], keys.T, out=block)
             if exclude_self:
                 rows = np.arange(stop - start)
                 block[rows, start + rows] = -np.inf
-            fn(start, block, *(buf[:stop - start] for buf in extra))
+            fn(start, block)
 
     cut = count // min(_cpus(), 2, count)  # the helper's run starts at block `cut`
     if cut == count:
-        walk(0, count, *buffers())
+        walk(0, count, np.empty((height, m)))
         return
-    own, other = buffers(), buffers()  # allocated here, before the helper starts
+    own, other = np.empty((height, m)), np.empty((height, m))  # before the helper starts
     raised = []
 
     def helper() -> None:
         try:
-            walk(cut, count, *other)
+            walk(cut, count, other)
         except BaseException as err:  # raised again in the calling thread below
             raised.append(err)
 
@@ -136,7 +131,7 @@ def row_blocks(queries: np.ndarray, keys: np.ndarray, fn, exclude_self: bool = F
     thread = threading.Thread(target=helper, daemon=True)
     thread.start()
     try:
-        walk(0, cut, *own)
+        walk(0, cut, own)
     finally:
         thread.join()
     if raised:

@@ -97,7 +97,7 @@ def _make_monitor(dataset: Dataset):
 
     def monitor(r, plan, bank, params):
         consistent, inconsistent = neighbourhood_consistency(plan.members[plan.selected], labels)
-        feats, _ = forward(params, dataset.inputs)
+        feats = forward(params, dataset.inputs)[0]
         preds = knn_predict_batch(feats, bank, labels, leave_one_out=True)
         return {
             "consistent_count": consistent,
@@ -177,22 +177,17 @@ def cmd_eval(args) -> int:
     split = load_dataset(args.data)
     if split.labels is None:
         raise ContractError(f"{args.data}: evaluation needs a labelled dataset")
-    if args.bank_data:
-        bank_split = load_dataset(args.bank_data)
-        if bank_split.labels is None:
-            raise ContractError(f"{args.bank_data}: bank dataset must be labelled")
-        leave_one_out = False
-    else:
-        bank_split = split
-        leave_one_out = True
+    bank_split = load_dataset(args.bank_data) if args.bank_data else split
+    if bank_split.labels is None:
+        raise ContractError(f"{args.bank_data}: bank dataset must be labelled")
     if bank_split.n != ckpt.bank.n:
         raise ContractError(
             f"bank dataset has {bank_split.n} samples but checkpoint bank has {ckpt.bank.n}"
         )
 
-    feats, _ = forward(ckpt.params, split.inputs)
+    feats = forward(ckpt.params, split.inputs)[0]
     preds = knn_predict_batch(
-        feats, ckpt.bank, bank_split.labels, leave_one_out=leave_one_out,
+        feats, ckpt.bank, bank_split.labels, leave_one_out=bank_split is split,
         **_given(knn_predict_batch, args),
     )
     linear_acc = None

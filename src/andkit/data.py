@@ -17,7 +17,7 @@ Binary dataset format (extension ``.ands``, all integers little-endian):
 
 CSV format: header ``label,f0,...,f{D-1}``; the label column is either all
 non-negative int32 integers or all -1, the latter meaning "no labels".
-Both loaders reject NaN and infinite inputs.
+A `Dataset` refuses NaN and infinite inputs; both loaders refuse them first.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ _INT32 = np.iinfo(np.int32)  # class ids are stored as int32
 
 @dataclass(frozen=True)
 class Dataset:
-    """Immutable raw-sample container; labels optional and evaluation-only."""
+    """Immutable raw-sample container of finite inputs; labels optional and evaluation-only."""
 
     inputs: np.ndarray  # (n, d) float64
     labels: np.ndarray | None = None  # (n,) int32 class ids
@@ -52,6 +52,9 @@ class Dataset:
             raise ConfigurationError(
                 f"dataset needs a 2-D input matrix with n >= 2, got shape {inputs.shape}"
             )
+        bad = np.flatnonzero(~np.isfinite(inputs).all(axis=1))
+        if bad.size:
+            raise ConfigurationError(f"sample {bad[0]}: non-finite input value")
         inputs.flags.writeable = False
         object.__setattr__(self, "inputs", inputs)
         if self.labels is not None:

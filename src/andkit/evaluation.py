@@ -132,7 +132,7 @@ def knn_accuracy(
 ) -> float:
     """Fraction of split samples whose weighted kNN vote matches ground truth."""
     truth = _check_labels(split.labels)
-    feats, _ = forward(params, split.inputs)
+    feats = forward(params, split.inputs)[0]
     preds = knn_predict_batch(feats, bank, labels, k_eval, DEFAULT_EVAL_TAU, leave_one_out)
     return float((preds == truth).mean())
 
@@ -227,7 +227,7 @@ def linear_probe(
         raise ConfigurationError(f"probe lr must be a finite number > 0, got {lr}")
     tr_labels = _check_labels(train_split.labels)
     te_labels = _check_labels(test_split.labels)
-    tr_feats, _ = forward(params, train_split.inputs)
+    tr_feats = forward(params, train_split.inputs)[0]
     te_feats = tr_feats if test_split is train_split else forward(params, test_split.inputs)[0]
     num_classes = int(max(tr_labels.max(), te_labels.max())) + 1
     w, b = _fit_probe(tr_feats, tr_labels, num_classes, epochs, lr)

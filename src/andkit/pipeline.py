@@ -61,7 +61,7 @@ from typing import Callable
 
 import numpy as np
 
-from .affinity import build_neighbourhoods, row_blocks
+from .affinity import MIN_ROWS, build_neighbourhoods, row_blocks
 from .data import make_batches, write_atomic
 from .encoder import (
     EncoderConfig,
@@ -242,18 +242,22 @@ def bank_entropies(bank: FeatureBank, tau: float) -> np.ndarray:
 
     In log space, no probability formed: with s = (z - max z) / tau, e = exp(s)
     and Z = sum e, H = log Z - sum(e s) / Z. As s <= 0, Z >= 1, and an e that
-    underflows to 0 adds 0, as 0 log 0 = 0 asks.
+    underflows to 0 adds 0, as 0 log 0 = 0 asks. e is taken MIN_ROWS rows at a
+    time into one (MIN_ROWS, N) buffer, not a second block of the scores' size.
     """
     out = np.empty(bank.n)
 
-    def block(start, scores, aux):
+    def block(start, scores):
         scores -= scores.max(axis=1, keepdims=True)
         scores /= tau
-        np.exp(scores, out=aux)
-        z = aux.sum(axis=1)
-        out[start:start + scores.shape[0]] = np.log(z) - np.einsum("ij,ij->i", aux, scores) / z
+        buf = np.empty((MIN_ROWS, scores.shape[1]))
+        for i in range(0, len(scores), MIN_ROWS):
+            s = scores[i:i + MIN_ROWS]
+            e = np.exp(s, out=buf[:len(s)])
+            z = e.sum(axis=1)
+            out[start + i:start + i + len(s)] = np.log(z) - np.einsum("ij,ij->i", e, s) / z
 
-    row_blocks(bank.features, bank.features, block, scratch=True)
+    row_blocks(bank.features, bank.features, block)
     return out
 
 
@@ -299,6 +303,9 @@ def train(
         raise ConfigurationError(
             f"input dim {x.shape[1]} != first layer size {config.layer_sizes[0]}"
         )
+    bad = np.flatnonzero(~np.isfinite(x).all(axis=1))
+    if bad.size:
+        raise ConfigurationError(f"sample {bad[0]}: non-finite input value")
 
     params = init_params(EncoderConfig(config.layer_sizes, seed=derive_seed(config.seed, 1)))
     bank = init_bank(n, config.layer_sizes[-1], SeededRng(derive_seed(config.seed, 2)))

@@ -55,8 +55,8 @@ def dyadic_matrix(n, d, seed):
 # Dense reference kernels: the plain form that `numerics.stable_softmax` had
 # before its temporaries were cut, `losses.round_batch_loss` without its
 # in-place passes, `pipeline.bank_entropies` without its row blocks and
-# scratch buffers, and `data.generate_blobs` before its per-sample loop became
-# one draw. The production code must match them bit for bit.
+# MIN_ROWS-row slices, and `data.generate_blobs` before its per-sample loop
+# became one draw. The production code must match them bit for bit.
 
 
 def dense_softmax(logits):

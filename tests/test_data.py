@@ -69,6 +69,24 @@ class TestGenerateBlobs:
             generate_blobs(BlobSpec(1, 5, 4))
 
 
+class TestDataset:
+    def test_non_finite_inputs_refused_naming_the_sample(self):
+        for value in (np.nan, np.inf, -np.inf):
+            inputs = np.ones((5, 3))
+            inputs[2, 1] = inputs[4, 0] = value
+            with pytest.raises(ConfigurationError, match="sample 2: non-finite"):
+                Dataset(inputs=inputs)
+
+    def test_save_csv_writes_no_cell_that_load_csv_refuses(self, tmp_path):
+        # a non-finite cell reaches no writer: the Dataset that would carry it is refused
+        path = tmp_path / "nan.csv"
+        with pytest.raises(ConfigurationError):
+            save_csv(Dataset(inputs=[[np.nan, 1.0], [2.0, 3.0]]), path)
+        assert not path.exists()
+        save_csv(Dataset(inputs=[[-1e308, 1.0], [2.0, 5e-324]]), path)
+        np.testing.assert_array_equal(load_csv(path).inputs, [[-1e308, 1.0], [2.0, 5e-324]])
+
+
 class TestCsvRoundTrip:
     def test_round_trip_within_tolerance(self, tmp_path):
         ds = generate_blobs(BlobSpec(2, 3, 4, seed=3))

@@ -1,11 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from andkit.affinity import ROW_BLOCK
 from andkit.data import BlobSpec, Dataset, generate_blobs
-from andkit.encoder import EncoderConfig, init_params
+from andkit.encoder import EncoderConfig, forward, init_params
 from andkit.errors import ConfigurationError, ContractError
 from andkit.evaluation import (
     _class_sum,
@@ -247,6 +248,98 @@ class TestLinearProbe:
         monkeypatch.setattr(evaluation, "forward", lambda *a: calls.append(a) or forward(*a))
         assert linear_probe(ds, ds, params, epochs=20, lr=0.5) == expected
         assert len(calls) == 1
+
+
+class TestEncodesHoldNoCache:
+    """The label-side encodes keep the features and drop `forward`'s backward cache at once.
+
+    `forward` holds its cache while it runs, so the peak cannot show this; the traced size
+    on entering each pass that follows an encode can. Layers d-1024-16 at N = 2000 give a
+    cache of about 33 MB, far above everything else these calls allocate.
+    """
+
+    N, D = 2000, 8
+
+    @pytest.fixture
+    def setting(self):
+        ds = generate_blobs(BlobSpec(4, self.N // 4, self.D, seed=33))
+        params = init_params(EncoderConfig(layer_sizes=(self.D, 1024, 16), seed=34))
+        cache = forward(params, ds.inputs)[1]
+        cache_bytes = cache.layer_inputs[1].nbytes + cache.pre_acts[0].nbytes
+        return ds, params, random_bank(self.N, 16, seed=35), cache_bytes
+
+    @staticmethod
+    def traced_on_entry(monkeypatch, targets, call):
+        """{name: traced bytes when `module.name` was entered} over one traced `call()`."""
+        sizes = {}
+        for module, name in targets:
+            def wrapper(*args, _real=getattr(module, name), _name=name, **kwargs):
+                sizes[_name] = tracemalloc.get_traced_memory()[0]
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+        tracemalloc.start()
+        try:
+            call()
+        finally:
+            tracemalloc.stop()
+        assert set(sizes) == {name for _, name in targets}
+        return sizes
+
+    def test_knn_accuracy(self, monkeypatch, setting):
+        import andkit.evaluation as evaluation
+
+        ds, params, bank, cache_bytes = setting
+        sizes = self.traced_on_entry(
+            monkeypatch, [(evaluation, "knn_predict_batch")],
+            lambda: knn_accuracy(ds, params, bank, ds.labels, leave_one_out=True),
+        )
+        assert sizes["knn_predict_batch"] < cache_bytes, (sizes, cache_bytes)
+
+    def test_linear_probe(self, monkeypatch, setting):
+        import andkit.evaluation as evaluation
+
+        ds, params, _, cache_bytes = setting
+        twin = Dataset(inputs=ds.inputs.copy(), labels=ds.labels.copy())
+        for test_split in (ds, twin):
+            sizes = self.traced_on_entry(
+                monkeypatch, [(evaluation, "_fit_probe")],
+                lambda: linear_probe(ds, test_split, params, epochs=1),
+            )
+            assert sizes["_fit_probe"] < cache_bytes, (sizes, cache_bytes)
+
+    def test_train_monitor(self, monkeypatch, setting):
+        import andkit.cli as cli
+        from andkit.pipeline import RoundPlan
+
+        ds, params, bank, cache_bytes = setting
+        plan = RoundPlan(np.zeros(self.N), np.ones(self.N, dtype=bool), np.arange(self.N)[:, None])
+        monitor = cli._make_monitor(ds)
+        sizes = self.traced_on_entry(
+            monkeypatch, [(cli, "knn_predict_batch")], lambda: monitor(1, plan, bank, params)
+        )
+        assert sizes["knn_predict_batch"] < cache_bytes, (sizes, cache_bytes)
+
+    def test_eval_with_probe(self, monkeypatch, setting, tmp_path):
+        import andkit.cli as cli
+        import andkit.evaluation as evaluation
+        from andkit.data import save_dataset
+        from andkit.pipeline import TrainConfig, save_checkpoint
+
+        ds, params, bank, cache_bytes = setting
+        save_dataset(ds, tmp_path / "data.ands")
+        config = TrainConfig(layer_sizes=(self.D, 1024, 16))
+        save_checkpoint(params, bank, config, tmp_path / "checkpoint.andc")
+        argv = [
+            "eval", "--checkpoint", str(tmp_path / "checkpoint.andc"),
+            "--data", str(tmp_path / "data.ands"), "--probe", "--probe-epochs", "1",
+            "--out", str(tmp_path / "eval.json"),
+        ]
+        targets = [(cli, "knn_predict_batch"), (cli, "build_neighbourhoods")]
+        targets.append((evaluation, "_fit_probe"))
+        sizes = self.traced_on_entry(monkeypatch, targets, lambda: cli.main(argv))
+        assert (tmp_path / "eval.json").exists()
+        assert max(sizes.values()) < cache_bytes, (sizes, cache_bytes)
 
 
 def probe_features(n, num_classes, seed, d=16):

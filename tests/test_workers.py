@@ -28,7 +28,7 @@ from andkit.memory import FeatureBank
 from andkit.numerics import SeededRng
 from andkit.pipeline import TrainConfig, bank_entropies, train
 
-from conftest import dense_batch_loss, dyadic_matrix, random_bank
+from conftest import dense_batch_loss, dense_entropies, dyadic_matrix, random_bank
 
 ROOT = Path(__file__).resolve().parents[1]
 SIZES = (2 * ROW_BLOCK + 37, ROW_BLOCK - 19)  # several blocks per span; below one block
@@ -58,13 +58,12 @@ class TestSpans:
         keys = dyadic_matrix(50, 4, seed=1)
         seen = []  # (start, rows, thread object); list.append is atomic
 
-        def record(start, scores, aux):
-            assert scores.shape == aux.shape == (scores.shape[0], 50)
-            assert aux.dtype == np.float64
+        def record(start, scores):
+            assert scores.shape == (scores.shape[0], 50)
             np.testing.assert_array_equal(scores, queries[start:start + len(scores)] @ keys.T)
             seen.append((start, scores.shape[0], threading.current_thread()))
 
-        at_workers(monkeypatch, workers, row_blocks, queries, keys, record, scratch=True)
+        at_workers(monkeypatch, workers, row_blocks, queries, keys, record)
         # the grid depends on n alone: near-equal blocks of at most ROW_BLOCK // 2 rows
         count = -(-n // (ROW_BLOCK // 2))
         edges = [n * b // count for b in range(count + 1)]
@@ -184,6 +183,23 @@ class TestRoundedBanks:
         oracle_loss, oracle_grads = dense_batch_loss(feats, members, bank, 0.07)
         assert loss == oracle_loss
         np.testing.assert_array_equal(grads, oracle_grads)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("tau", [0.07, 3e-3, 1e-4])
+@pytest.mark.parametrize("n", [400, 513, 2500])
+def test_entropies_equal_the_dense_oracle_on_random_banks(monkeypatch, n, tau, workers):
+    # random unit rows round their products, unlike dyadic ones, so the dense oracle runs on
+    # `row_blocks`' own score blocks, stacked, and any change in how the pass sums shows
+    bank = random_bank(n, 16, seed=n + 7)
+    stacked = np.empty((n, n))
+
+    def put(start, scores):
+        stacked[start:start + len(scores)] = scores
+
+    at_workers(monkeypatch, workers, row_blocks, bank.features, bank.features, put)
+    got = at_workers(monkeypatch, workers, bank_entropies, bank, tau)
+    np.testing.assert_array_equal(got, dense_entropies(stacked, tau))
 
 
 class TestTrainThreads:
