@@ -9,14 +9,14 @@ counts.
 
 __version__ = "0.1.0"
 
-from .affinity import build_neighbourhoods, entropy, prob_row, top_k
+from .affinity import build_neighbourhoods, top_k
 from .data import BlobSpec, Dataset, generate_blobs, load_dataset, make_batches
 from .encoder import EncoderConfig, EncoderParams, forward, init_params, lr_at
 from .errors import AndkitError
 from .evaluation import EvalReport, knn_accuracy, linear_probe, neighbourhood_consistency
-from .losses import LossGrad, instance_term, neighbourhood_term, round_batch_loss
-from .memory import FeatureBank, all_similarities, init_bank, update_batch
-from .numerics import SeededRng, l2_normalize, stable_softmax
+from .losses import round_batch_loss
+from .memory import FeatureBank, init_bank, update_batch
+from .numerics import SeededRng, l2_normalize
 from .pipeline import (
     Checkpoint,
     MetricsRecord,
@@ -38,19 +38,15 @@ __all__ = [
     "EncoderParams",
     "EvalReport",
     "FeatureBank",
-    "LossGrad",
     "MetricsRecord",
     "RoundPlan",
     "SeededRng",
     "TrainConfig",
-    "all_similarities",
     "build_neighbourhoods",
-    "entropy",
     "forward",
     "generate_blobs",
     "init_bank",
     "init_params",
-    "instance_term",
     "knn_accuracy",
     "l2_normalize",
     "linear_probe",
@@ -59,13 +55,10 @@ __all__ = [
     "lr_at",
     "make_batches",
     "neighbourhood_consistency",
-    "neighbourhood_term",
     "plan_round",
-    "prob_row",
     "round_batch_loss",
     "save_checkpoint",
     "select_anchors",
-    "stable_softmax",
     "top_k",
     "train",
     "update_batch",

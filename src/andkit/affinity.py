@@ -1,4 +1,4 @@
-"""Similarity distributions, anchor neighbourhoods, and consistency entropy.
+"""Anchor neighbourhoods: row-block score passes and the exact top-k.
 
 A probability row is the temperature-scaled softmax of one query feature's
 cosine scores against every memory row. An anchor neighbourhood is one row
@@ -25,9 +25,10 @@ the bytes do not depend on the CPU count. This helper thread is the
 package's only one.
 
 All log/entropy values use the natural logarithm; only the entropy ordering
-matters for curriculum selection, so the base is a free choice. `entropy`
-takes one probability row; the plan (`pipeline.bank_entropies`) takes every
-row's entropy straight from its scores, in log space.
+matters for curriculum selection, so the base is a free choice. The plan
+(`pipeline.bank_entropies`) takes every row's entropy straight from its
+scores, in log space. The per-row references, `prob_row` and `entropy`, are
+test oracles in `tests/oracles.py`.
 """
 
 from __future__ import annotations
@@ -39,8 +40,7 @@ import threading
 import numpy as np
 
 from .errors import ConfigurationError
-from .memory import FeatureBank, all_similarities
-from .numerics import stable_softmax
+from .memory import FeatureBank
 
 # query rows of scores in flight per call: blocks of at most ROW_BLOCK // 2
 # rows, one per worker, so at most two workers. At N = 5000 (d = 16, k = 10,
@@ -62,13 +62,6 @@ MIN_ROWS = 32
 # the narrowing took m = 400 from 0.39 to 0.49 ms, m = 640 from 0.74 to 0.52
 # and m = 5000 from 4.1 to 1.5
 PREFILTER = 64
-
-
-def prob_row(query, bank: FeatureBank, tau: float) -> np.ndarray:
-    """Softmax over cosine scores of `query` against the bank, at temperature `tau`."""
-    if not tau > 0:
-        raise ConfigurationError(f"temperature must be > 0, got {tau}")
-    return stable_softmax(all_similarities(bank, query) / tau)
 
 
 def _cpus() -> int:
@@ -255,8 +248,3 @@ def build_neighbourhoods(bank: FeatureBank, k: int) -> np.ndarray:
     row_blocks(bank.features, bank.features, block, exclude_self=True)
     return members
 
-
-def entropy(probs: np.ndarray) -> float:
-    """Shannon entropy of a probability row, with 0 * log(0) taken as 0."""
-    nz = probs[probs > 0.0]
-    return float(-(nz * np.log(nz)).sum())

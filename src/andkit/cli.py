@@ -92,7 +92,7 @@ def cmd_generate(args) -> int:
 
 
 def _make_monitor(dataset: Dataset):
-    """The one round monitor (train and the blob benchmark); labels never reach training."""
+    """The one round monitor (train and `scripts/paper_claims.py`); labels never reach training."""
     labels = dataset.labels
 
     def monitor(r, plan, bank, params):

@@ -17,7 +17,8 @@ Binary dataset format (extension ``.ands``, all integers little-endian):
 
 CSV format: header ``label,f0,...,f{D-1}``; the label column is either all
 non-negative int32 integers or all -1, the latter meaning "no labels".
-A `Dataset` refuses NaN and infinite inputs; both loaders refuse them first.
+A `Dataset` refuses NaN and infinite inputs, and labels that are not
+non-negative int32 integers; both loaders refuse them first.
 """
 
 from __future__ import annotations
@@ -55,16 +56,24 @@ class Dataset:
         bad = np.flatnonzero(~np.isfinite(inputs).all(axis=1))
         if bad.size:
             raise ConfigurationError(f"sample {bad[0]}: non-finite input value")
+        inputs = inputs.view()  # read-only here; the caller's array stays writeable
         inputs.flags.writeable = False
         object.__setattr__(self, "inputs", inputs)
         if self.labels is not None:
-            labels = np.asarray(self.labels, dtype=np.int32)
+            labels = np.asarray(self.labels)
             if labels.shape != (inputs.shape[0],):
                 raise ConfigurationError(
                     f"labels length {labels.shape} does not match n={inputs.shape[0]}"
                 )
+            if labels.dtype.kind not in "biu":
+                values = labels.astype(np.float64)
+                if not (np.isfinite(values) & (values == np.floor(values))).all():
+                    raise ConfigurationError("labels must be integral class ids")
             if (labels < 0).any():
                 raise ConfigurationError("labels must be non-negative class ids")
+            if labels.max() > _INT32.max:
+                raise ConfigurationError(f"label {labels.max()} is outside the int32 range")
+            labels = labels.astype(np.int32)  # a copy: the caller's array stays writeable
             labels.flags.writeable = False
             object.__setattr__(self, "labels", labels)
 
@@ -118,6 +127,25 @@ def generate_blobs(spec: BlobSpec) -> Dataset:
     # one row-major draw gives each sample the normals a per-sample draw would, in order
     noise = rng.normals((labels.size, spec.dim))
     return Dataset(inputs=centers[labels] + spec.noise_sigma * noise, labels=labels)
+
+
+def make_benchmark_splits(
+    classes: int, per_class_half: int, dim: int = 32, **spec
+) -> tuple[Dataset, Dataset]:
+    """One blob generation split per class into equal train/test halves.
+
+    Both halves share the class centres, so the test half is a held-out split
+    for a bank trained on the other. `spec` holds any further `BlobSpec` fields
+    (`noise_sigma`, `center_scale`, `seed`); the ones left out keep
+    `BlobSpec`'s defaults.
+    """
+    per_class = 2 * per_class_half
+    ds = generate_blobs(BlobSpec(classes, per_class, dim, **spec))
+    first_half = np.arange(ds.n) % per_class < per_class_half  # rows are class-major
+    return (
+        Dataset(inputs=ds.inputs[first_half], labels=ds.labels[first_half]),
+        Dataset(inputs=ds.inputs[~first_half], labels=ds.labels[~first_half]),
+    )
 
 
 def save_csv(dataset: Dataset, path) -> None:

@@ -14,6 +14,8 @@ bank row so self-similarity cannot inflate accuracy.
 The linear probe steps class-major, on one (C, n) probability array, so
 each softmax and gradient step is a contiguous length-n vector operation;
 it rounds as the sample-major `probe_loss_and_grad` does, bit for bit.
+That function and the one-query vote, `weighted_knn_predict`, are test
+oracles in `tests/oracles.py`.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ from .data import Dataset
 from .encoder import EncoderParams, forward
 from .errors import ConfigurationError, ContractError
 from .memory import FeatureBank
-from .numerics import stable_softmax
 
 DEFAULT_K_EVAL = 10
 DEFAULT_EVAL_TAU = 0.07
@@ -49,32 +50,6 @@ def _check_labels(labels) -> np.ndarray:
     return np.asarray(labels, dtype=np.int64)
 
 
-def weighted_knn_predict(
-    query,
-    bank: FeatureBank,
-    labels,
-    k_eval: int = DEFAULT_K_EVAL,
-    tau: float = DEFAULT_EVAL_TAU,
-    exclude: int | None = None,
-) -> int:
-    """Class id winning the similarity-weighted vote of the top-k bank rows."""
-    labels = _check_labels(labels)
-    if labels.size != bank.n:
-        raise ContractError(f"{labels.size} labels for a bank of {bank.n} rows")
-    sims = bank.features @ np.asarray(query, dtype=np.float64)
-    if exclude is not None:
-        sims = sims.copy()
-        sims[exclude] = -np.inf
-    available = bank.n - (1 if exclude is not None else 0)
-    if not 1 <= k_eval <= available:
-        raise ConfigurationError(f"k_eval must lie in [1, {available}], got {k_eval}")
-    top = np.argsort(-sims, kind="stable")[:k_eval]
-    weights = np.exp(sims[top] / tau)
-    scores = np.zeros(int(labels.max()) + 1)
-    np.add.at(scores, labels[top], weights)
-    return int(np.argmax(scores))
-
-
 def knn_predict_batch(
     features,
     bank: FeatureBank,
@@ -83,7 +58,7 @@ def knn_predict_batch(
     tau: float = DEFAULT_EVAL_TAU,
     leave_one_out: bool = False,
 ) -> np.ndarray:
-    """Vectorised `weighted_knn_predict` over a feature matrix.
+    """The weighted kNN vote of every row of a feature matrix.
 
     `k_eval` defaults to DEFAULT_K_EVAL, capped at the candidate rows. With
     `leave_one_out`, query row i must correspond to bank row i and is
@@ -145,17 +120,6 @@ def per_class_accuracy(predictions, truth) -> list[float | None]:
         mask = truth == c
         out.append(float((preds[mask] == c).mean()) if mask.any() else None)
     return out
-
-
-def probe_loss_and_grad(weights, bias, feats, labels) -> tuple[float, np.ndarray, np.ndarray]:
-    """Mean softmax cross-entropy of an affine probe, with exact gradients (sample-major)."""
-    labels = _check_labels(labels)
-    rows = np.arange(feats.shape[0])
-    probs = stable_softmax(feats @ weights.T + bias)
-    loss = float(-np.log(probs[rows, labels]).mean())
-    probs[rows, labels] -= 1.0
-    probs /= feats.shape[0]
-    return loss, probs.T @ feats, probs.sum(axis=0)
 
 
 def _class_sum(rows) -> np.ndarray:

@@ -38,49 +38,17 @@ The whole loss runs in the calling thread. It is bound by memory
 bandwidth: at b = 128, N = 5000 a split of its row passes over a second
 CPU was no faster than one thread.
 
-Member sets are rows of an int array, anchor first (see `affinity`); the
-per-sample reference terms reject a repeated index.
+Member sets are rows of an int array, anchor first (see `affinity`). The
+per-sample terms, `instance_term` and `neighbourhood_term` (which reject a
+repeated index), are the batch loss's oracles in `tests/oracles.py`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .affinity import prob_row
 from .errors import ContractError
 from .memory import FeatureBank
-
-@dataclass(frozen=True)
-class LossGrad:
-    loss: float
-    grad: np.ndarray  # d(loss)/d(fresh feature), length d
-
-
-def instance_term(i: int, x_i, bank: FeatureBank, tau: float) -> LossGrad:
-    """Self-recognition loss -log p_i for a sample treated as its own class."""
-    return neighbourhood_term(i, x_i, (i,), bank, tau)
-
-
-def neighbourhood_term(i: int, x_i, members, bank: FeatureBank, tau: float) -> LossGrad:
-    """Neighbourhood-membership loss -log sum of member probabilities.
-
-    `members` lists anchor `i` first and holds no index twice. The loss is
-    always at most the instance loss, since the member set contains the
-    anchor; with the singleton member set (i,) the two are identical.
-    """
-    idx = np.asarray(members, dtype=np.int64)
-    if idx.ndim != 1 or idx.size == 0 or idx[0] != i:
-        raise ContractError(f"members {idx.tolist()} must list anchor {i} first")
-    if np.unique(idx).size != idx.size:
-        raise ContractError(f"duplicate members in {idx.tolist()}")
-    p = prob_row(x_i, bank, tau)
-    q = p[idx].sum()
-    target = np.zeros_like(p)
-    target[idx] = p[idx] / q
-    grad = (p - target) @ bank.features / tau
-    return LossGrad(loss=float(-np.log(q)), grad=grad)
 
 
 def round_batch_loss(feats, members, bank: FeatureBank, tau: float) -> tuple[float, np.ndarray]:
@@ -93,8 +61,7 @@ def round_batch_loss(feats, members, bank: FeatureBank, tau: float) -> tuple[flo
     ready to feed straight into the encoder backward pass.
 
     The batch runs in log space (module notes) in one new float64 (b, N)
-    array, the scores and then their shifted exps. The per-sample terms
-    above are its oracle in the tests.
+    array, the scores and then their shifted exps.
     """
     feats = np.asarray(feats, dtype=np.float64)
     members = np.asarray(members, dtype=np.int64)

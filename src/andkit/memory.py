@@ -5,7 +5,8 @@ features are blended in as ``(1 - eta) * old + eta * fresh`` and the row is
 re-normalized afterwards: the blend alone does not preserve unit norm, and
 every consumer treats bank inner products as cosine similarities. The rate
 eta is not part of the bank: the caller passes `TrainConfig.eta`, which is
-where its range is checked.
+where its range is checked. The scores of one query against the bank,
+`all_similarities`, are a test oracle in `tests/oracles.py`.
 """
 
 from __future__ import annotations
@@ -66,10 +67,3 @@ def update_batch(bank: FeatureBank, indices, fresh, eta: float) -> None:
     blended = (1.0 - eta) * bank.features[idx] + eta * fresh
     bank.features[idx] = l2_normalize_rows(blended)
 
-
-def all_similarities(bank: FeatureBank, query) -> np.ndarray:
-    """Cosine scores of a unit query against every bank row (length n)."""
-    q = np.asarray(query, dtype=np.float64)
-    if q.shape != (bank.d,):
-        raise DimensionError(f"query shape {q.shape} != ({bank.d},)")
-    return bank.features @ q

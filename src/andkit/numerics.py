@@ -1,8 +1,11 @@
 """Dense float64 primitives and a portable deterministic RNG.
 
-Package code takes row norms (`row_norms`), normalises (`l2_normalize`, `l2_normalize_rows`),
-takes softmaxes (`stable_softmax`) and draws random numbers (`SeededRng`)
-only through this module. All are float64 in, float64 out.
+Package code takes row norms (`row_norms`), normalises (`l2_normalize`, `l2_normalize_rows`)
+and draws random numbers (`SeededRng`) only through this module. All are
+float64 in, float64 out. There is no softmax function: the loss and the
+plan work in log space and the linear probe takes its softmax inline, and
+the tests hold them to one plain softmax, `dense_softmax` in
+`tests/oracles.py`.
 Vectors are plain 1-D ``numpy.ndarray`` values and matrices are row-major
 2-D arrays; no wrapper classes.
 
@@ -26,7 +29,7 @@ import math
 
 import numpy as np
 
-from .errors import ConfigurationError, DegenerateInputError, DimensionError
+from .errors import ConfigurationError, DegenerateInputError
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -219,22 +222,3 @@ def l2_normalize_rows(mat) -> np.ndarray:
     m = np.asarray(mat, dtype=np.float64)
     return m / row_norms(m)[:, None]
 
-
-def stable_softmax(logits, out=None) -> np.ndarray:
-    """Softmax computed as exp(x - max(x)) / sum, immune to overflow.
-
-    Accepts a vector or a matrix; matrix rows are independent
-    distributions. Output entries are non-negative and each distribution
-    sums to 1 up to float64 rounding. The shifted logits are exponentiated
-    and normalised in place, so the one output array is the only
-    full-size allocation; the input array is left untouched unless it is
-    `out`. With `out` (float64, the logits' shape) nothing full-size is
-    allocated.
-    """
-    z = np.asarray(logits, dtype=np.float64)
-    if z.size == 0:
-        raise DimensionError("softmax of an empty vector")
-    e = np.subtract(z, z.max(axis=-1, keepdims=True), out=out)
-    np.exp(e, out=e)
-    e /= e.sum(axis=-1, keepdims=True)
-    return e

@@ -123,7 +123,7 @@ class TrainConfig:
     """Full recipe for one training run; every knob is seed-determined.
 
     The one home of the training defaults: the CLI passes only the flags given,
-    and `andkit.benchmark` departs from them only in `base_lr`.
+    and `scripts/paper_claims.py` departs from them only in `base_lr`.
     """
 
     layer_sizes: tuple[int, ...]

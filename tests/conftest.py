@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 
 from andkit.memory import FeatureBank
-from andkit.numerics import SeededRng, l2_normalize, l2_normalize_rows
+from andkit.numerics import SeededRng, l2_normalize_rows
 
 
 def finite_difference(f, x, step=1e-6):
@@ -50,65 +50,6 @@ def dyadic_matrix(n, d, seed):
     copies = values[1::4]
     copies[:] = values[0::4][: len(copies)]
     return values
-
-
-# Dense reference kernels: the plain form that `numerics.stable_softmax` had
-# before its temporaries were cut, `losses.round_batch_loss` without its
-# in-place passes, `pipeline.bank_entropies` without its row blocks and
-# MIN_ROWS-row slices, and `data.generate_blobs` before its per-sample loop
-# became one draw. The production code must match them bit for bit.
-
-
-def dense_softmax(logits):
-    z = np.asarray(logits, dtype=np.float64)
-    e = np.exp(z - z.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
-
-
-def dense_entropies(scores, tau):
-    """Row entropies of softmax(scores / tau) in log space, over the whole matrix at once."""
-    s = (scores - scores.max(axis=1, keepdims=True)) / tau
-    e = np.exp(s)
-    z = e.sum(axis=1)
-    # einsum, as the production pass uses: (e * s).sum(axis=1) rounds differently
-    return np.log(z) - np.einsum("ij,ij->i", e, s) / z
-
-
-def dense_batch_loss(feats, members, bank, tau):
-    """Mean batch loss and gradients in log space, over the whole batch in new arrays.
-
-    The production formula (see `losses`) without its in-place passes; e @ M
-    is summed over the same 256-row bank panels, in the same order.
-    """
-    m = bank.features
-    s = (feats / tau) @ m.T
-    ms = np.sort(members, axis=1)
-    ts = np.take_along_axis(s, ms, axis=1)
-    ts[:, 1:][ms[:, 1:] == ms[:, :-1]] = -np.inf  # a repeated index counts once
-    mm = ts.max(axis=1)
-    t = np.exp(ts - mm[:, None])
-    msum = t.sum(axis=1)
-    shift = s.max(axis=1)
-    e = np.exp(s - shift[:, None])
-    z = e.sum(axis=1)
-    loss = (shift + np.log(z)) - (mm + np.log(msum))
-    em = sum(e[:, c:c + 256] @ m[c:c + 256] for c in range(0, len(m), 256))
-    tm = np.einsum("bj,bjd->bd", t / msum[:, None], m[ms])
-    return float(loss.mean()), (em / z[:, None] - tm) / (tau * feats.shape[0])
-
-
-def looped_blobs(spec):
-    """(inputs, labels) of a blob spec, drawing each sample's noise on its own."""
-    rng = SeededRng(spec.seed)
-    centers = [
-        l2_normalize(rng.normals(spec.dim)) * spec.center_scale for _ in range(spec.num_classes)
-    ]
-    inputs, labels = [], []
-    for c in range(spec.num_classes):
-        for _ in range(spec.per_class):
-            inputs.append(centers[c] + spec.noise_sigma * rng.normals(spec.dim))
-            labels.append(c)
-    return np.array(inputs), np.array(labels, dtype=np.int32)
 
 
 def traced_peak(fn, *args):

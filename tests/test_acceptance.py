@@ -11,15 +11,17 @@ import numpy as np
 import pytest
 
 from andkit.affinity import build_neighbourhoods
-from andkit.benchmark import benchmark_config, make_benchmark_splits, run_benchmark
 from andkit.cli import main as cli_main
+from andkit.data import make_benchmark_splits
 from andkit.encoder import EncoderConfig, backward, forward, init_params
-from andkit.losses import instance_term, neighbourhood_term, round_batch_loss
+from andkit.losses import round_batch_loss
 from andkit.memory import FeatureBank, update_batch
 from andkit.numerics import SeededRng, l2_normalize_rows
 from andkit.pipeline import RoundPlan, TrainConfig, select_anchors, train
 
 from conftest import finite_difference, max_rel_error, random_bank, random_unit
+from oracles import instance_term, neighbourhood_term
+from paper_claims import benchmark_config, calibrate_sigma, run_benchmark
 
 
 def report(name, ok, detail=""):
@@ -265,15 +267,7 @@ def test_blob_learning(blob_runs):
 
 
 def test_curriculum_vs_one_off():
-    sigma = None
-    for candidate in (1.5, 2.0, 2.5, 3.0, 3.5):
-        train_split, test_split = make_benchmark_splits(6, 60, noise_sigma=candidate, seed=200)
-        base = run_benchmark(
-            train_split, test_split, benchmark_config(32, 0, instance_only=True)
-        )
-        if 0.6 <= base.test_accuracy <= 0.85:
-            sigma = candidate
-            break
+    sigma = calibrate_sigma(6, 60, seed=0)  # the ladder 1.5, 2.0, ..., 3.5; blobs at seed 200
     assert sigma is not None, "noise ladder never landed the baseline in [0.6, 0.85]"
 
     wins, lines = 0, [f"sigma={sigma}"]

@@ -402,8 +402,7 @@ class TestEval:
         assert "labelled" in capsys.readouterr().err
 
     def test_held_out_split_scores_against_bank_data(self, blob_file, tmp_path, capsys):
-        from andkit.benchmark import make_benchmark_splits
-        from andkit.data import Dataset, load_dataset, save_dataset
+        from andkit.data import Dataset, load_dataset, make_benchmark_splits, save_dataset
         from andkit.evaluation import knn_accuracy
         from andkit.pipeline import load_checkpoint
 

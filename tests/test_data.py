@@ -20,7 +20,7 @@ from andkit.data import (
 from andkit.errors import ConfigurationError, FormatError, ParseError
 from andkit.numerics import SeededRng
 
-from conftest import looped_blobs
+from oracles import looped_blobs
 
 
 class TestGenerateBlobs:
@@ -85,6 +85,31 @@ class TestDataset:
         assert not path.exists()
         save_csv(Dataset(inputs=[[-1e308, 1.0], [2.0, 5e-324]]), path)
         np.testing.assert_array_equal(load_csv(path).inputs, [[-1e308, 1.0], [2.0, 5e-324]])
+
+    def test_caller_arrays_stay_writeable(self):
+        inputs, labels = np.ones((3, 2)), np.array([0, 1, 1], dtype=np.int32)
+        ds = Dataset(inputs=inputs, labels=labels)
+        assert inputs.flags.writeable and labels.flags.writeable
+        assert not ds.inputs.flags.writeable and not ds.labels.flags.writeable
+        inputs[0, 0] = labels[0] = 5  # the caller's own arrays, still theirs to write
+        assert inputs[0, 0] == 5.0 and labels[0] == 5
+
+    def test_integral_float_labels_become_class_ids(self):
+        ds = Dataset(inputs=np.ones((3, 2)), labels=[0.0, 2.0, 1.0])
+        assert ds.labels.dtype == np.int32
+        np.testing.assert_array_equal(ds.labels, [0, 2, 1])
+
+    @pytest.mark.parametrize("labels", [[0.5, 1.7, 2.0], [0.0, np.nan, 1.0], [0.0, np.inf, 1.0]])
+    def test_non_integral_labels_refused(self, labels):
+        with pytest.raises(ConfigurationError, match="integral"):
+            Dataset(inputs=np.ones((3, 2)), labels=labels)
+
+    @pytest.mark.parametrize(
+        "labels", [[0, 1, 2**31], np.array([0, 1, 2**40]), [0, 1, 2**70], [0.0, 1.0, 3e9]]
+    )
+    def test_labels_beyond_int32_refused(self, labels):
+        with pytest.raises(ConfigurationError, match="int32"):
+            Dataset(inputs=np.ones((3, 2)), labels=labels)
 
 
 class TestCsvRoundTrip:

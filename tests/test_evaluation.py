@@ -17,13 +17,12 @@ from andkit.evaluation import (
     linear_probe,
     neighbourhood_consistency,
     per_class_accuracy,
-    probe_loss_and_grad,
-    weighted_knn_predict,
 )
 from andkit.memory import FeatureBank
 from andkit.numerics import SeededRng, l2_normalize_rows
 
 from conftest import dyadic_matrix, finite_difference, max_rel_error, random_bank
+from oracles import probe_loss_and_grad, weighted_knn_predict
 
 
 def bank_with_similarities(sims):
@@ -168,8 +167,9 @@ class TestKnnAccuracy:
 
     def test_training_beats_untrained_encoder_on_two_blobs(self):
         # baseline comparison run: the untrained random encoder is the oracle
-        from andkit.benchmark import benchmark_config, make_benchmark_splits, run_benchmark
+        from andkit.data import make_benchmark_splits
         from andkit.numerics import derive_seed
+        from paper_claims import benchmark_config, run_benchmark
 
         train_split, test_split = make_benchmark_splits(2, 60, noise_sigma=1.5, seed=42)
         params = init_params(EncoderConfig((32, 64, 16), seed=derive_seed(0, 1)))

@@ -7,19 +7,13 @@ from hypothesis import strategies as st
 
 from andkit.affinity import build_neighbourhoods
 from andkit.errors import ContractError
-from andkit.losses import instance_term, neighbourhood_term, round_batch_loss
+from andkit.losses import round_batch_loss
 from andkit.memory import FeatureBank
 from andkit.numerics import SeededRng
 from andkit.pipeline import RoundPlan
 
-from conftest import (
-    dense_batch_loss,
-    finite_difference,
-    max_rel_error,
-    random_bank,
-    random_unit,
-    traced_peak,
-)
+from conftest import finite_difference, max_rel_error, random_bank, random_unit, traced_peak
+from oracles import dense_batch_loss, instance_term, neighbourhood_term
 
 
 def three_row_bank():

@@ -4,10 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from andkit.errors import ConfigurationError, ContractError, DimensionError
-from andkit.memory import FeatureBank, all_similarities, init_bank, update_batch
+from andkit.memory import FeatureBank, init_bank, update_batch
 from andkit.numerics import SeededRng
 
 from conftest import random_bank, random_unit
+from oracles import all_similarities
 
 
 class TestInitBank:

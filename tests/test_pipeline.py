@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from andkit.affinity import ROW_BLOCK, entropy, prob_row
+from andkit.affinity import ROW_BLOCK
 from andkit.data import BlobSpec, generate_blobs
 from andkit.errors import ConfigurationError, ContractError, FormatError
 from andkit.memory import FeatureBank
@@ -22,7 +22,8 @@ from andkit.pipeline import (
 )
 from andkit.numerics import SeededRng
 
-from conftest import dense_entropies, dyadic_matrix, random_bank, traced_peak
+from conftest import dyadic_matrix, random_bank, traced_peak
+from oracles import dense_entropies, entropy, prob_row
 
 
 def small_config(**overrides):

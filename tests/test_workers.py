@@ -28,7 +28,8 @@ from andkit.memory import FeatureBank
 from andkit.numerics import SeededRng
 from andkit.pipeline import TrainConfig, bank_entropies, train
 
-from conftest import dense_batch_loss, dense_entropies, dyadic_matrix, random_bank
+from conftest import dyadic_matrix, random_bank
+from oracles import dense_batch_loss, dense_entropies
 
 ROOT = Path(__file__).resolve().parents[1]
 SIZES = (2 * ROW_BLOCK + 37, ROW_BLOCK - 19)  # several blocks per span; below one block
