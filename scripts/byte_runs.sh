@@ -16,6 +16,8 @@
 #                    exp(s) lies below 1e-16 of its maximum, too small to move the row sum
 #   OUT_DIR/colder/  two rounds at tau = 0.001, where most of a row's softmax mass underflows
 #                    to 0, so only a loss taken in log space stays finite
+#   OUT_DIR/span/    two rounds at N = 1500 and layers 100-33-7, so that the monitor's and
+#                    eval's encodes each take two 750-row spans
 set -euo pipefail
 
 if [ $# -ne 1 ]; then
@@ -31,6 +33,7 @@ andkit() { python3 -m andkit.cli "$@"; }
 andkit generate --classes 4 --per-class 100 --dim 32 --seed 7 --out "$out/blobs.ands"
 andkit generate --classes 4 --per-class 1250 --dim 32 --seed 7 --out "$out/wide.ands"
 andkit generate --classes 4 --per-class 625 --dim 32 --seed 7 --out "$out/odd.ands"
+andkit generate --classes 4 --per-class 375 --dim 100 --seed 7 --out "$out/span.ands"
 
 andkit train --data "$out/blobs.ands" --rounds 4 --epochs 20 --seed 1 --layers 64,16 \
   --lr 3.84 --out "$out/"
@@ -60,3 +63,8 @@ andkit inspect --checkpoint "$out/cold/checkpoint.andc" --data "$out/blobs.ands"
 
 andkit train --data "$out/blobs.ands" --rounds 2 --epochs 1 --init-epochs 1 --k 5 \
   --tau 0.001 --seed 1 --layers 64,16 --out "$out/colder/"
+
+andkit train --data "$out/span.ands" --rounds 2 --epochs 1 --init-epochs 1 --k 5 --seed 1 \
+  --layers 33,7 --out "$out/span/"
+andkit eval --checkpoint "$out/span/checkpoint.andc" --data "$out/span.ands" --probe \
+  --out "$out/span/eval.json"

@@ -39,12 +39,13 @@ from .evaluation import (
     EvalReport,
     consistency_curve_csv,
     consistent_rows,
+    encode,
     knn_predict_batch,
     linear_probe,
     neighbourhood_consistency,
     per_class_accuracy,
 )
-from .encoder import forward
+from .encoder import forward  # not called here; perfbench/spans.py wraps cli.forward by name
 from .pipeline import (
     PLANS_FILE,
     MetricsRecord,
@@ -97,7 +98,7 @@ def _make_monitor(dataset: Dataset):
 
     def monitor(r, plan, bank, params):
         consistent, inconsistent = neighbourhood_consistency(plan.members[plan.selected], labels)
-        feats = forward(params, dataset.inputs)[0]
+        feats = encode(params, dataset.inputs)
         preds = knn_predict_batch(feats, bank, labels, leave_one_out=True)
         return {
             "consistent_count": consistent,
@@ -185,7 +186,7 @@ def cmd_eval(args) -> int:
             f"bank dataset has {bank_split.n} samples but checkpoint bank has {ckpt.bank.n}"
         )
 
-    feats = forward(ckpt.params, split.inputs)[0]
+    feats = encode(ckpt.params, split.inputs)
     preds = knn_predict_batch(
         feats, ckpt.bank, bank_split.labels, leave_one_out=bank_split is split,
         **_given(knn_predict_batch, args),

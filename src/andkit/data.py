@@ -40,6 +40,17 @@ _HEADER = struct.Struct("<4sHBBII")
 _INT32 = np.iinfo(np.int32)  # class ids are stored as int32
 
 
+def label_fault(labels: np.ndarray) -> str | None:
+    """Why `labels` are not class ids (non-negative integral values), or None when they are."""
+    if labels.dtype.kind not in "biu":
+        values = labels.astype(np.float64)
+        if not (np.isfinite(values) & (values == np.floor(values))).all():
+            return "labels must be integral class ids"
+    if (labels < 0).any():
+        return "labels must be non-negative class ids"
+    return None
+
+
 @dataclass(frozen=True)
 class Dataset:
     """Immutable raw-sample container of finite inputs; labels optional and evaluation-only."""
@@ -48,7 +59,7 @@ class Dataset:
     labels: np.ndarray | None = None  # (n,) int32 class ids
 
     def __post_init__(self):
-        inputs = np.asarray(self.inputs, dtype=np.float64)
+        inputs = np.array(self.inputs, dtype=np.float64)  # a copy: later caller writes stay out
         if inputs.ndim != 2 or inputs.shape[0] < 2:
             raise ConfigurationError(
                 f"dataset needs a 2-D input matrix with n >= 2, got shape {inputs.shape}"
@@ -56,7 +67,6 @@ class Dataset:
         bad = np.flatnonzero(~np.isfinite(inputs).all(axis=1))
         if bad.size:
             raise ConfigurationError(f"sample {bad[0]}: non-finite input value")
-        inputs = inputs.view()  # read-only here; the caller's array stays writeable
         inputs.flags.writeable = False
         object.__setattr__(self, "inputs", inputs)
         if self.labels is not None:
@@ -65,12 +75,9 @@ class Dataset:
                 raise ConfigurationError(
                     f"labels length {labels.shape} does not match n={inputs.shape[0]}"
                 )
-            if labels.dtype.kind not in "biu":
-                values = labels.astype(np.float64)
-                if not (np.isfinite(values) & (values == np.floor(values))).all():
-                    raise ConfigurationError("labels must be integral class ids")
-            if (labels < 0).any():
-                raise ConfigurationError("labels must be non-negative class ids")
+            fault = label_fault(labels)
+            if fault:
+                raise ConfigurationError(fault)
             if labels.max() > _INT32.max:
                 raise ConfigurationError(f"label {labels.max()} is outside the int32 range")
             labels = labels.astype(np.int32)  # a copy: the caller's array stays writeable
@@ -223,10 +230,7 @@ def load_csv(path) -> Dataset:
     absent = label_arr == -1
     if (label_arr < -1).any() or (absent.any() and not absent.all()):
         raise ParseError(f"{path}: labels must be all present or all -1")
-    return Dataset(
-        inputs=np.asarray(rows, dtype=np.float64),
-        labels=None if absent.all() else label_arr,
-    )
+    return Dataset(inputs=rows, labels=None if absent.all() else label_arr)
 
 
 def save_bin(dataset: Dataset, path) -> None:
@@ -278,7 +282,7 @@ def load_bin(path) -> Dataset:
         labels = np.frombuffer(blob, dtype="<i4", count=n, offset=off + 4 * n * d)
         if (labels < 0).any():
             raise FormatError(f"{path}: negative class id {int(labels.min())}")
-    return Dataset(inputs=inputs.astype(np.float64), labels=labels)
+    return Dataset(inputs=inputs, labels=labels)  # Dataset converts to float64 in its one copy
 
 
 def load_dataset(path) -> Dataset:

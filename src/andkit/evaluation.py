@@ -5,6 +5,10 @@ learned features three ways: a weighted kNN classifier over the memory
 bank, a linear softmax probe on frozen features, and class-consistency
 counts over anchor neighbourhoods (rows of a member array, anchor first).
 
+Features are taken by `encode`, which runs the encoder over spans of rows
+and keeps no backward cache, so a label-side pass never holds one
+whole-input set of layer outputs.
+
 The kNN vote follows the similarity-exponential weighting: among the
 k_eval most similar bank rows, class c collects sum of exp(s_i / tau) over
 neighbours i labelled c, and the best-scoring class wins (ties to the
@@ -26,13 +30,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .affinity import row_blocks, top_k
-from .data import Dataset
+from .data import Dataset, label_fault
 from .encoder import EncoderParams, forward
 from .errors import ConfigurationError, ContractError
 from .memory import FeatureBank
 
 DEFAULT_K_EVAL = 10
 DEFAULT_EVAL_TAU = 0.07
+# most rows `encode` passes to `forward` at once. On 3000 rows (x86-64,
+# OpenBLAS) spans of 128 rows or fewer at layers 32-64-16, and of 172 or fewer
+# at 100-33-7, rounded some features differently from one whole-input
+# `forward`; every span tried from 256 rows up kept the bits
+ENCODE_SPAN = 1024
 
 
 @dataclass
@@ -47,7 +56,32 @@ class EvalReport:
 def _check_labels(labels) -> np.ndarray:
     if labels is None:
         raise ContractError("labels are required for evaluation")
-    return np.asarray(labels, dtype=np.int64)
+    labels = np.asarray(labels)
+    fault = label_fault(labels)
+    if fault:
+        raise ContractError(fault)
+    return labels.astype(np.int64)
+
+
+def encode(params: EncoderParams, inputs) -> np.ndarray:
+    """The unit-norm features of every input row, without a backward cache.
+
+    Rows go through `forward` in near-equal spans of at most ENCODE_SPAN
+    rows, so a pass holds the (n, d_out) features and one span's layer
+    outputs, and each span's cache is dropped when its features are copied
+    out. A span is never shorter than ENCODE_SPAN // 2 rows unless the
+    inputs are, since OpenBLAS rounds short products differently from tall
+    ones; at the layer sizes measured (see ENCODE_SPAN) every feature row
+    keeps the bits of one whole-input `forward`.
+    """
+    x = np.asarray(inputs, dtype=np.float64)
+    n = len(x)
+    count = max(1, -(-n // ENCODE_SPAN))
+    edges = [n * s // count for s in range(count + 1)]
+    feats = np.empty((n, params.layer_sizes[-1]))
+    for start, stop in zip(edges, edges[1:]):
+        feats[start:stop] = forward(params, x[start:stop])[0]
+    return feats
 
 
 def knn_predict_batch(
@@ -65,7 +99,8 @@ def knn_predict_batch(
     excluded from its own candidate set. Weights are shifted by each row's
     best score, exp((s - s_max) / tau), so a small tau cannot overflow them.
     Scores are computed in row blocks on up to two CPUs of the affinity mask
-    (`affinity.row_blocks`), so the whole query x bank matrix is never
+    (`affinity.row_blocks`), and each block is voted on inside its pass,
+    so neither the whole query x bank matrix nor any (n, k_eval) array is
     held, and the votes do not depend on the worker count.
     """
     if not (math.isfinite(tau) and tau > 0):
@@ -80,21 +115,20 @@ def knn_predict_batch(
     k_eval = min(DEFAULT_K_EVAL, available) if k_eval is None else k_eval
     if not 1 <= k_eval <= available:
         raise ConfigurationError(f"k_eval must lie in [1, {available}], got {k_eval}")
-    top = np.empty((feats.shape[0], k_eval), dtype=np.intp)
-    top_sims = np.empty((feats.shape[0], k_eval))
+    num_classes = int(labels.max()) + 1
+    preds = np.empty(feats.shape[0], dtype=np.intp)
 
     def block(start, scores):
-        block_top = top_k(scores, k_eval)
-        top[start:start + scores.shape[0]] = block_top
-        top_sims[start:start + scores.shape[0]] = np.take_along_axis(scores, block_top, axis=1)
+        top = top_k(scores, k_eval)
+        sims = np.take_along_axis(scores, top, axis=1)
+        weights = np.exp((sims - sims[:, :1]) / tau)  # top_k puts the best score first
+        votes = np.zeros((len(top), num_classes))
+        rows = np.repeat(np.arange(len(top)), k_eval)
+        np.add.at(votes, (rows, labels[top].ravel()), weights.ravel())
+        preds[start:start + len(top)] = np.argmax(votes, axis=1)
 
     row_blocks(feats, bank.features, block, exclude_self=leave_one_out)
-    weights = np.exp((top_sims - top_sims[:, :1]) / tau)  # top_k puts the best score first
-    num_classes = int(labels.max()) + 1
-    scores = np.zeros((feats.shape[0], num_classes))
-    rows = np.repeat(np.arange(feats.shape[0]), k_eval)
-    np.add.at(scores, (rows, labels[top].ravel()), weights.ravel())
-    return np.argmax(scores, axis=1)
+    return preds
 
 
 def knn_accuracy(
@@ -107,7 +141,7 @@ def knn_accuracy(
 ) -> float:
     """Fraction of split samples whose weighted kNN vote matches ground truth."""
     truth = _check_labels(split.labels)
-    feats = forward(params, split.inputs)[0]
+    feats = encode(params, split.inputs)
     preds = knn_predict_batch(feats, bank, labels, k_eval, DEFAULT_EVAL_TAU, leave_one_out)
     return float((preds == truth).mean())
 
@@ -191,8 +225,8 @@ def linear_probe(
         raise ConfigurationError(f"probe lr must be a finite number > 0, got {lr}")
     tr_labels = _check_labels(train_split.labels)
     te_labels = _check_labels(test_split.labels)
-    tr_feats = forward(params, train_split.inputs)[0]
-    te_feats = tr_feats if test_split is train_split else forward(params, test_split.inputs)[0]
+    tr_feats = encode(params, train_split.inputs)
+    te_feats = tr_feats if test_split is train_split else encode(params, test_split.inputs)
     num_classes = int(max(tr_labels.max(), te_labels.max())) + 1
     w, b = _fit_probe(tr_feats, tr_labels, num_classes, epochs, lr)
     preds = np.argmax(te_feats @ w.T + b, axis=1)

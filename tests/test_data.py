@@ -94,6 +94,12 @@ class TestDataset:
         inputs[0, 0] = labels[0] = 5  # the caller's own arrays, still theirs to write
         assert inputs[0, 0] == 5.0 and labels[0] == 5
 
+    def test_later_caller_writes_do_not_reach_the_dataset(self):
+        inputs = np.ones((3, 2))
+        ds = Dataset(inputs=inputs)
+        inputs[0, 0] = np.nan  # past the finiteness check, were the dataset a view
+        assert ds.inputs[0, 0] == 1.0
+
     def test_integral_float_labels_become_class_ids(self):
         ds = Dataset(inputs=np.ones((3, 2)), labels=[0.0, 2.0, 1.0])
         assert ds.labels.dtype == np.int32

@@ -4,14 +4,18 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from andkit.affinity import ROW_BLOCK
+from andkit import affinity
+from andkit.affinity import ROW_BLOCK, row_blocks, top_k
 from andkit.data import BlobSpec, Dataset, generate_blobs
 from andkit.encoder import EncoderConfig, forward, init_params
-from andkit.errors import ConfigurationError, ContractError
+from andkit.errors import ConfigurationError, ContractError, DimensionError
 from andkit.evaluation import (
+    DEFAULT_K_EVAL,
+    ENCODE_SPAN,
     _class_sum,
     _fit_probe,
     consistent_rows,
+    encode,
     knn_accuracy,
     knn_predict_batch,
     linear_probe,
@@ -21,7 +25,7 @@ from andkit.evaluation import (
 from andkit.memory import FeatureBank
 from andkit.numerics import SeededRng, l2_normalize_rows
 
-from conftest import dyadic_matrix, finite_difference, max_rel_error, random_bank
+from conftest import dyadic_matrix, finite_difference, max_rel_error, random_bank, traced_peak
 from oracles import probe_loss_and_grad, weighted_knn_predict
 
 
@@ -116,6 +120,31 @@ class TestWeightedKnnPredict:
                 )
                 got = knn_predict_batch(feats, bank, labels, k_eval, 0.07, leave_one_out)
                 np.testing.assert_array_equal(got, expected)
+
+    def test_batch_equals_the_oracle_across_blocks_with_ties_and_an_absent_class(self):
+        # dyadic rows give tied scores, and row 4j + 1 repeats row 4j under another label
+        n = 2 * ROW_BLOCK + 37
+        bank = FeatureBank(features=dyadic_matrix(n, 8, seed=41))
+        labels = np.array([0, 1, 3, 4])[np.arange(n) % 4]  # class 2 is no bank row's label
+        for leave_one_out in (True, False):
+            got = knn_predict_batch(bank.features, bank, labels, leave_one_out=leave_one_out)
+            expected = [
+                weighted_knn_predict(
+                    row, bank, labels, DEFAULT_K_EVAL, exclude=i if leave_one_out else None
+                )
+                for i, row in enumerate(bank.features)
+            ]
+            np.testing.assert_array_equal(got, expected)
+
+    @pytest.mark.parametrize(
+        "labels, match",
+        [([0, 0, 1, 1, -1, -1], "non-negative"), ([0, 0, 1, 1, 0.7, 0.7], "integral")],
+    )
+    def test_batch_refuses_labels_that_are_not_class_ids(self, labels, match):
+        # np.add.at would count a -1 vote for the last class, and 0.7 would truncate to 0
+        bank = random_bank(6, 3, seed=42)
+        with pytest.raises(ContractError, match=match):
+            knn_predict_batch(bank.features, bank, labels, k_eval=2, leave_one_out=True)
 
 
 class TestKnnAccuracy:
@@ -341,6 +370,79 @@ class TestEncodesHoldNoCache:
         sizes = self.traced_on_entry(monkeypatch, targets, lambda: cli.main(argv))
         assert (tmp_path / "eval.json").exists()
         assert max(sizes.values()) < cache_bytes, (sizes, cache_bytes)
+
+
+class TestEncode:
+    """`encode` runs `forward` in near-equal spans and keeps the bits of one whole-input pass."""
+
+    @pytest.mark.parametrize("layers", [(32, 64, 16), (100, 33, 7)])
+    @pytest.mark.parametrize("n", [100, 400, 1025, 2500, 5000])
+    def test_equals_one_forward_bit_for_bit(self, layers, n):
+        params = init_params(EncoderConfig(layer_sizes=layers, seed=43))
+        x = SeededRng(n).normals((n, layers[0]))
+        whole = forward(params, x)[0]
+        np.testing.assert_array_equal(encode(params, x).view(np.uint64), whole.view(np.uint64))
+
+    @pytest.mark.parametrize("n", [2, ENCODE_SPAN, ENCODE_SPAN + 1, 2 * ENCODE_SPAN + 1, 5000])
+    def test_spans_are_near_equal_and_never_short(self, monkeypatch, n):
+        import andkit.evaluation as evaluation
+
+        spans = []
+        real = evaluation.forward
+        monkeypatch.setattr(evaluation, "forward", lambda p, x: spans.append(len(x)) or real(p, x))
+        params = init_params(EncoderConfig(layer_sizes=(4, 3), seed=44))
+        encode(params, SeededRng(45).normals((n, 4)))
+        assert sum(spans) == n
+        assert max(spans) <= ENCODE_SPAN and max(spans) - min(spans) <= 1
+        assert min(spans) >= min(n, ENCODE_SPAN // 2)
+
+    def test_wrong_input_width_refused(self):
+        params = init_params(EncoderConfig(layer_sizes=(4, 3), seed=46))
+        for x in (np.ones((5, 3)), np.ones(4)):
+            with pytest.raises(DimensionError):
+                encode(params, x)
+
+
+class TestLabelSidePeak:
+    """At N = 5000 the train monitor and `knn_accuracy` hold no more than the (N, d_out)
+    features plus the larger of one encode span and one pass of score blocks, and a few
+    (N,) vectors: labels and predictions.
+
+    The encode ends before the kNN pass starts, so the two never add up; a whole-input
+    `forward` or an (N, k_eval) vote array does not fit. The pass runs on one worker, so
+    its block temporaries never overlap and the traced peak does not depend on timing.
+    """
+
+    N = 5000
+
+    @pytest.fixture
+    def setting(self, monkeypatch):
+        monkeypatch.setattr(affinity, "_cpus", lambda: 1)
+        ds = generate_blobs(BlobSpec(4, self.N // 4, 32, seed=47))
+        params = init_params(EncoderConfig(layer_sizes=(32, 64, 16), seed=48))
+        bank = random_bank(self.N, 16, seed=49)
+        span = traced_peak(forward, params, ds.inputs[:ENCODE_SPAN])
+        blocks = traced_peak(
+            row_blocks, bank.features, bank.features,
+            lambda start, scores: top_k(scores, DEFAULT_K_EVAL), True,
+        )
+        feats = 8 * self.N * params.layer_sizes[-1]
+        budget = feats + max(span, blocks) + 8 * 8 * self.N  # eight float64 (N,) vectors
+        return ds, params, bank, budget
+
+    def test_knn_accuracy(self, setting):
+        ds, params, bank, budget = setting
+        peak = traced_peak(knn_accuracy, ds, params, bank, ds.labels, None, True)
+        assert peak <= budget, (peak, budget)
+
+    def test_train_monitor(self, setting):
+        import andkit.cli as cli
+        from andkit.pipeline import RoundPlan
+
+        ds, params, bank, budget = setting
+        plan = RoundPlan(np.zeros(self.N), np.ones(self.N, dtype=bool), np.arange(self.N)[:, None])
+        peak = traced_peak(cli._make_monitor(ds), 1, plan, bank, params)
+        assert peak <= budget, (peak, budget)
 
 
 def probe_features(n, num_classes, seed, d=16):
