@@ -11,11 +11,14 @@ class-pure neighbourhood, while a flat row marks a crowded, ambiguous one.
 
 Every N x N score matrix is computed in row blocks (`row_blocks`), so
 planning, kNN evaluation and `inspect` hold O(ROW_BLOCK * N) scores at a
-time. `top_k` selects by partition rather than a full sort, and on a wide
-row it first keeps only the columns that a bound from group maxima cannot
-rule out (about sqrt(N * k) of them), so the kNN and neighbourhood passes
-hold no N-wide array beside the scores (the entropy pass one of MIN_ROWS
-rows). The blocks run on up to two CPUs of the process's affinity mask
+time, and a plan computes each block once for both its top-k and its
+entropies. `top_k` selects by partition rather than a full sort, and on a
+wide row it first keeps only the columns that a bound from group maxima
+cannot rule out (about sqrt(N * k) of them), so the kNN and neighbourhood
+passes hold no N-wide array beside the scores (the plan's entropies one of a
+few rows). A bank's scores against itself leave each row's own column out
+of its top-k by `top_k_others`, which hands the block back as it came. The
+blocks run on up to two CPUs of the process's affinity mask
 (`taskset` limits them): the calling thread walks the first contiguous run
 of blocks and one helper thread, started and joined by each call, the
 other, each into one score buffer that the calling thread allocates once
@@ -26,9 +29,9 @@ package's only one.
 
 All log/entropy values use the natural logarithm; only the entropy ordering
 matters for curriculum selection, so the base is a free choice. The plan
-(`pipeline.bank_entropies`) takes every row's entropy straight from its
-scores, in log space. The per-row references, `prob_row` and `entropy`, are
-test oracles in `tests/oracles.py`.
+(`pipeline.plan_round`, or `pipeline.bank_entropies` alone) takes every row's
+entropy straight from its scores, in log space. The per-row references,
+`prob_row` and `entropy`, are test oracles in `tests/oracles.py`.
 """
 
 from __future__ import annotations
@@ -44,11 +47,12 @@ from .memory import FeatureBank
 
 # query rows of scores in flight per call: blocks of at most ROW_BLOCK // 2
 # rows, one per worker, so at most two workers. At N = 5000 (d = 16, k = 10,
-# one BLAS thread) plan plus kNN ran within 7% for 128-512 rows in flight and
-# 28% slower at 1024 with one worker, within 2% for 256-512 with two; the
-# entropy pass moves, the narrowed top-k and kNN passes stay within 4% of each
-# other from 128 rows up
-ROW_BLOCK = 256
+# one BLAS thread, two workers) a plan's one pass took 148, 126, 113 and 108
+# ms at 64, 128, 256 and 512 rows in flight, where its two passes had taken
+# 128 ms at 256; a kNN pass took 95, 73, 54 and 52 ms. 128 rows keep the
+# plan's time at half its scores (a 2.5 MB block per worker), for about 20 ms
+# more per kNN pass
+ROW_BLOCK = 128
 # fewest rows in a row block, bar a query matrix with fewer: OpenBLAS takes
 # a matrix-vector path for one row, and on x86-64 it rounded blocks of 2-11
 # rows differently from taller ones (d = 4 and 16, most bank sizes tried from
@@ -72,7 +76,7 @@ def _cpus() -> int:
         return os.cpu_count() or 1
 
 
-def row_blocks(queries: np.ndarray, keys: np.ndarray, fn, exclude_self: bool = False) -> None:
+def row_blocks(queries: np.ndarray, keys: np.ndarray, fn) -> None:
     """Call fn(start, scores) on every row block of queries @ keys.T.
 
     `scores` holds queries[start:start + len(scores)] @ keys.T, in a buffer
@@ -86,9 +90,6 @@ def row_blocks(queries: np.ndarray, keys: np.ndarray, fn, exclude_self: bool = F
     must write only its own rows of any shared output. The helper is joined
     before this returns or raises, and an exception `fn` raises in either
     thread is raised again here.
-
-    With `exclude_self`, query row i is key row i and its own score is -inf,
-    so it never ranks as its own neighbour.
     """
     n, m = queries.shape[0], keys.shape[0]
     if n == 0:
@@ -101,9 +102,6 @@ def row_blocks(queries: np.ndarray, keys: np.ndarray, fn, exclude_self: bool = F
         for start, stop in zip(edges[first:last], edges[first + 1:last + 1]):
             block = scores[:stop - start]
             np.matmul(queries[start:stop], keys.T, out=block)
-            if exclude_self:
-                rows = np.arange(stop - start)
-                block[rows, start + rows] = -np.inf
             fn(start, block)
 
     cut = count // min(_cpus(), 2, count)  # the helper's run starts at block `cut`
@@ -172,21 +170,27 @@ def _candidates(scores: np.ndarray, k: int) -> np.ndarray:
     """Flat indices into `scores` of each row's candidates for its top k, in ascending order.
 
     The groups and the bound are those that `top_k` describes; every row
-    takes as many groups as the row that keeps the most.
+    takes as many groups as the row that keeps the most. Each (rows, G)
+    temporary is released once the next one exists, so at most two are held.
     """
     rows, m = scores.shape
     slices = math.isqrt(m // k)
     width = m // slices
     head = slices * width
     maxima = scores[:, :head].reshape(rows, slices, width).max(axis=1)
-    bound = np.partition(maxima, width - k, axis=1)[:, width - k]
-    drop = maxima < bound[:, None]
+    # a fancy index copies the bound column, so the partitioned array is freed at once
+    bound = np.partition(maxima, width - k, axis=1)[:, [width - k]]
+    drop = maxima < bound
     drop[np.isnan(maxima).any(axis=1)] = False
+    del maxima
     kept = width - int(drop.sum(axis=1).min())
     # kept groups key below dropped ones; of the dropped, the lowest-numbered fill the row
     key = width * drop
+    del drop
     key += np.arange(width)
-    groups = np.sort(np.partition(key, kept - 1, axis=1)[:, :kept], axis=1) % width
+    key.partition(kept - 1, axis=1)
+    groups = np.sort(key[:, :kept], axis=1) % width
+    del key
     starts = m * np.arange(rows)[:, None]
     flat = groups[:, None, :] + (starts[:, :, None] + np.arange(0, head, width)[:, None])
     return np.concatenate([flat.reshape(rows, -1), starts + np.arange(head, m)], axis=1)
@@ -227,6 +231,34 @@ def top_k(scores: np.ndarray, k: int) -> np.ndarray:
     return np.take_along_axis(flat, picked, axis=1) - m * np.arange(rows)[:, None]
 
 
+def top_k_others(scores: np.ndarray, start: int, k: int) -> np.ndarray:
+    """`top_k` of a block of a bank's scores against itself, each row's own column left out.
+
+    Row i of the block is bank row start + i. Its own score is -inf while
+    the top k are taken, so it never ranks as its own neighbour, and is put
+    back after, so the block leaves as it came.
+    """
+    rows = np.arange(len(scores))
+    own = scores[rows, start + rows]
+    scores[rows, start + rows] = -np.inf
+    top = top_k(scores, k)
+    scores[rows, start + rows] = own
+    return top
+
+
+def anchor_members(n: int, k: int) -> np.ndarray:
+    """An (n, k+1) int64 member array whose column 0 holds each row's anchor.
+
+    The other k columns are left for the search to fill. k outside [0, n - 1]
+    is a ConfigurationError.
+    """
+    if not 0 <= k <= n - 1:
+        raise ConfigurationError(f"k must lie in [0, {n - 1}], got {k}")
+    members = np.empty((n, k + 1), dtype=np.int64)
+    members[:, 0] = np.arange(n)  # the anchor joins explicitly, not via search
+    return members
+
+
 def build_neighbourhoods(bank: FeatureBank, k: int) -> np.ndarray:
     """Exact top-k cosine member array, shape (n, k+1), for every bank row.
 
@@ -234,17 +266,12 @@ def build_neighbourhoods(bank: FeatureBank, k: int) -> np.ndarray:
     products against row i. Exact search over all pairs, one row block at a
     time: O(n^2 d) work and O(ROW_BLOCK * n) memory.
     """
-    n = bank.n
-    if not 0 <= k <= n - 1:
-        raise ConfigurationError(f"k must lie in [0, {n - 1}], got {k}")
-    members = np.empty((n, k + 1), dtype=np.int64)
-    members[:, 0] = np.arange(n)  # the anchor joins explicitly, not via search
+    members = anchor_members(bank.n, k)
     if k == 0:
         return members
 
     def block(start, scores):
-        members[start:start + scores.shape[0], 1:] = top_k(scores, k)
+        members[start:start + len(scores), 1:] = top_k_others(scores, start, k)
 
-    row_blocks(bank.features, bank.features, block, exclude_self=True)
+    row_blocks(bank.features, bank.features, block)
     return members
-

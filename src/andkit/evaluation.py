@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .affinity import row_blocks, top_k
+from .affinity import row_blocks, top_k, top_k_others
 from .data import Dataset, label_fault
 from .encoder import EncoderParams, forward
 from .errors import ConfigurationError, ContractError
@@ -119,15 +119,15 @@ def knn_predict_batch(
     preds = np.empty(feats.shape[0], dtype=np.intp)
 
     def block(start, scores):
-        top = top_k(scores, k_eval)
+        top = top_k_others(scores, start, k_eval) if leave_one_out else top_k(scores, k_eval)
         sims = np.take_along_axis(scores, top, axis=1)
         weights = np.exp((sims - sims[:, :1]) / tau)  # top_k puts the best score first
-        votes = np.zeros((len(top), num_classes))
-        rows = np.repeat(np.arange(len(top)), k_eval)
-        np.add.at(votes, (rows, labels[top].ravel()), weights.ravel())
-        preds[start:start + len(top)] = np.argmax(votes, axis=1)
+        # bincount adds each cell's weights in input order, one at a time, as np.add.at does
+        cells = labels[top] + num_classes * np.arange(len(top))[:, None]
+        votes = np.bincount(cells.ravel(), weights.ravel(), minlength=len(top) * num_classes)
+        preds[start:start + len(top)] = np.argmax(votes.reshape(len(top), num_classes), axis=1)
 
-    row_blocks(feats, bank.features, block, exclude_self=leave_one_out)
+    row_blocks(feats, bank.features, block)
     return preds
 
 

@@ -61,7 +61,8 @@ from typing import Callable
 
 import numpy as np
 
-from .affinity import MIN_ROWS, build_neighbourhoods, row_blocks
+from .affinity import anchor_members, row_blocks, top_k_others
+from .affinity import build_neighbourhoods  # not called here; perfbench/spans.py wraps it by name
 from .data import make_batches, write_atomic
 from .encoder import (
     EncoderConfig,
@@ -114,6 +115,10 @@ _PLANS_MAGIC = b"ANDP"
 _PLANS_VERSION = 1
 _PLANS_HEAD = struct.Struct("<4sHIIII")  # magic, version, n, k, rounds, checkpoint crc
 PLANS_FILE = "plans.andp"
+# rows of one exp slice in `_block_entropies`: at N = 5000 (64-row blocks, one
+# BLAS thread) a plan's entropies took 124 ms in 32-row slices, 115 in 8-row
+# ones and 127 in 4-row ones, with equal bits
+_EXP_ROWS = 8
 
 MonitorFn = Callable[[int, "RoundPlan", FeatureBank, EncoderParams], dict]
 
@@ -237,25 +242,34 @@ def select_anchors(entropies, r: int, R: int) -> np.ndarray:
     return mask
 
 
-def bank_entropies(bank: FeatureBank, tau: float) -> np.ndarray:
-    """Consistency entropy of every memory row queried against the whole bank.
+def _block_entropies(scores: np.ndarray, tau: float, out: np.ndarray) -> None:
+    """Write the consistency entropy of every row of a score block into `out`.
 
     In log space, no probability formed: with s = (z - max z) / tau, e = exp(s)
     and Z = sum e, H = log Z - sum(e s) / Z. As s <= 0, Z >= 1, and an e that
-    underflows to 0 adds 0, as 0 log 0 = 0 asks. e is taken MIN_ROWS rows at a
-    time into one (MIN_ROWS, N) buffer, not a second block of the scores' size.
+    underflows to 0 adds 0, as 0 log 0 = 0 asks. s overwrites the block, and
+    e is taken _EXP_ROWS rows at a time into one small buffer; each row's bits
+    do not depend on how many rows a slice holds.
+    """
+    scores -= scores.max(axis=1, keepdims=True)
+    scores /= tau
+    buf = np.empty((_EXP_ROWS, scores.shape[1]))
+    for i in range(0, len(scores), _EXP_ROWS):
+        s = scores[i:i + _EXP_ROWS]
+        e = np.exp(s, out=buf[:len(s)])
+        z = e.sum(axis=1)
+        out[i:i + len(s)] = np.log(z) - np.einsum("ij,ij->i", e, s) / z
+
+
+def bank_entropies(bank: FeatureBank, tau: float) -> np.ndarray:
+    """Consistency entropy of every memory row queried against the whole bank.
+
+    Each row block goes through `_block_entropies`, as in `plan_round`.
     """
     out = np.empty(bank.n)
 
     def block(start, scores):
-        scores -= scores.max(axis=1, keepdims=True)
-        scores /= tau
-        buf = np.empty((MIN_ROWS, scores.shape[1]))
-        for i in range(0, len(scores), MIN_ROWS):
-            s = scores[i:i + MIN_ROWS]
-            e = np.exp(s, out=buf[:len(s)])
-            z = e.sum(axis=1)
-            out[start + i:start + i + len(s)] = np.log(z) - np.einsum("ij,ij->i", e, s) / z
+        _block_entropies(scores, tau, out[start:start + len(scores)])
 
     row_blocks(bank.features, bank.features, block)
     return out
@@ -264,10 +278,24 @@ def bank_entropies(bank: FeatureBank, tau: float) -> np.ndarray:
 def plan_round(bank: FeatureBank, config: TrainConfig, r: int) -> RoundPlan:
     """Freeze entropies, neighbourhoods, and the selection mask that round r trains on.
 
+    One `row_blocks` pass computes each block of bank scores once: its top k
+    (`top_k_others`), then its entropies in place (`_block_entropies`). The
+    grid and each row's operations are those of `build_neighbourhoods` and
+    `bank_entropies`, so the plan equals theirs bit for bit, with one block
+    of at most ROW_BLOCK // 2 rows in flight per worker.
+
     One-off selects as at round R in every round; instance-only selects no anchor.
     """
-    entropies = bank_entropies(bank, config.tau)
-    members = build_neighbourhoods(bank, config.k)
+    members = anchor_members(bank.n, config.k)
+    entropies = np.empty(bank.n)
+
+    def block(start, scores):
+        stop = start + len(scores)
+        if config.k:
+            members[start:stop, 1:] = top_k_others(scores, start, config.k)
+        _block_entropies(scores, config.tau, entropies[start:stop])
+
+    row_blocks(bank.features, bank.features, block)
     return RoundPlan(entropies, _selection(entropies, config, r), members)
 
 

@@ -11,7 +11,7 @@ checks; none of them runs in training, evaluation or the command line.
   (one query's kNN vote) and `probe_loss_and_grad` (the linear probe's loss
   and gradients, sample-major).
 - Dense: `dense_entropies` is `pipeline.bank_entropies` without its row
-  blocks and MIN_ROWS-row slices, `dense_batch_loss` is
+  blocks and exp slices, `dense_batch_loss` is
   `losses.round_batch_loss` without its in-place passes, and `looped_blobs` is
   `data.generate_blobs` before its per-sample loop became one draw. The
   production code must match these three bit for bit.

@@ -6,6 +6,7 @@ by the criteria that read them.
 """
 
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -222,8 +223,11 @@ def test_degeneration_equivalence(monkeypatch):
     )
     _, _, inst_recs = train(inputs, TrainConfig(instance_only=True, **common))
     # k-NN search disabled: every anchor's neighbourhood is the singleton
-    search = pipeline.build_neighbourhoods
-    monkeypatch.setattr(pipeline, "build_neighbourhoods", lambda bank, k: search(bank, 0))
+    plan = pipeline.plan_round
+    monkeypatch.setattr(
+        pipeline, "plan_round",
+        lambda bank, cfg, r: replace(plan(bank, cfg, r), members=np.arange(bank.n)[:, None]),
+    )
     _, _, and_recs = train(inputs, TrainConfig(**common))
     gaps = [abs(a.mean_loss - b.mean_loss) for a, b in zip(and_recs, inst_recs)]
     report(

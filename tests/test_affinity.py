@@ -273,6 +273,13 @@ class TestPeakMemory:
         )
         assert peak < self.budget()
 
+    def test_top_k_holds_its_group_temporaries_one_or_two_at_a_time(self):
+        # k = 10 narrows each 5000-column row to candidates through (125, 227) group arrays
+        # of 227 KB each; all four held at once take the peak past a fifth of the block
+        bank = random_bank(5000, 16, seed=27)
+        scores = bank.features[:125] @ bank.features.T
+        assert traced_peak(top_k, scores, 10) < scores.nbytes / 5
+
 
 class TestEntropy:
     def test_uniform_is_log_n(self):

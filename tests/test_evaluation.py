@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from andkit import affinity
-from andkit.affinity import ROW_BLOCK, row_blocks, top_k
+from andkit.affinity import ROW_BLOCK, row_blocks, top_k_others
 from andkit.data import BlobSpec, Dataset, generate_blobs
 from andkit.encoder import EncoderConfig, forward, init_params
 from andkit.errors import ConfigurationError, ContractError, DimensionError
@@ -424,7 +424,7 @@ class TestLabelSidePeak:
         span = traced_peak(forward, params, ds.inputs[:ENCODE_SPAN])
         blocks = traced_peak(
             row_blocks, bank.features, bank.features,
-            lambda start, scores: top_k(scores, DEFAULT_K_EVAL), True,
+            lambda start, scores: top_k_others(scores, start, DEFAULT_K_EVAL),
         )
         feats = 8 * self.N * params.layer_sizes[-1]
         budget = feats + max(span, blocks) + 8 * 8 * self.N  # eight float64 (N,) vectors

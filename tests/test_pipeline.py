@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -170,7 +171,7 @@ class TestPlanRound:
         peak = traced_peak(bank_entropies, bank, 0.07)
         block = 8 * ROW_BLOCK * n
         # the budget of the top-k passes (test_affinity's TestPeakMemory): the score
-        # blocks in flight and (MIN_ROWS, n) slices, no second block of their size
+        # blocks in flight and a few rows of exp, no second block of their size
         assert peak < 1.5 * block, f"peak {peak / block:.2f} x 8 ROW_BLOCK N bytes"
 
     def test_entropy_peak_memory_is_a_few_score_blocks(self, monkeypatch):
@@ -179,6 +180,21 @@ class TestPlanRound:
     def test_entropy_peak_memory_holds_at_two_workers(self, monkeypatch):
         # ROW_BLOCK rows are in flight whatever the worker count, so the bound is the same
         self.assert_entropy_peak_is_a_few_score_blocks(monkeypatch, workers=2)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_plan_peak_memory_is_one_block_per_worker(self, monkeypatch, workers):
+        import andkit.affinity as affinity
+
+        monkeypatch.setattr(affinity, "_cpus", lambda: workers)
+        n = 4000
+        bank = random_bank(n, 16, seed=9)
+        cfg = small_config(layer_sizes=(4, 16), rounds=4, k=10)
+        peak = traced_peak(plan_round, bank, cfg, 2)
+        # the plan's outputs, then per worker one (64, n) block of scores and less than half
+        # as much again: the top-k's and the entropies' temporaries
+        outputs = 8 * n * (cfg.k + 2)
+        block = 8 * 64 * n
+        assert peak < outputs + workers * 1.5 * block, f"peak {peak / block:.2f} x 8 * 64 * N bytes"
 
     def test_plan_peak_memory_is_below_half_an_n_squared_matrix(self):
         n = 4000
@@ -233,8 +249,11 @@ class TestTrain:
         x = small_inputs()
         inst_run = train(x, small_config(rounds=3, instance_only=True))
         # k-NN search disabled: every anchor's neighbourhood is the singleton
-        search = pipeline.build_neighbourhoods
-        monkeypatch.setattr(pipeline, "build_neighbourhoods", lambda bank, k: search(bank, 0))
+        plan = pipeline.plan_round
+        monkeypatch.setattr(
+            pipeline, "plan_round",
+            lambda bank, cfg, r: replace(plan(bank, cfg, r), members=np.arange(bank.n)[:, None]),
+        )
         and_run = train(x, small_config(rounds=3))
         losses_and = np.array([r.mean_loss for r in and_run[2]])
         losses_inst = np.array([r.mean_loss for r in inst_run[2]])

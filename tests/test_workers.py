@@ -26,7 +26,7 @@ from andkit.evaluation import knn_predict_batch
 from andkit.losses import round_batch_loss
 from andkit.memory import FeatureBank
 from andkit.numerics import SeededRng
-from andkit.pipeline import TrainConfig, bank_entropies, train
+from andkit.pipeline import TrainConfig, bank_entropies, plan_round, train
 
 from conftest import dyadic_matrix, random_bank
 from oracles import dense_batch_loss, dense_entropies
@@ -78,7 +78,7 @@ class TestSpans:
         assert len(threads) == min(workers, 2, count)
 
     def test_worker_error_propagates(self, monkeypatch):
-        # 300 rows are three blocks: the calling thread walks block 0, the helper blocks 1 and 2
+        # 300 rows are several blocks, and every block but the first raises
         threads = threading.active_count()
 
         def fail(start, scores):
@@ -102,8 +102,11 @@ class TestSpans:
         with pytest.raises(ValueError, match="first block failed"):
             at_workers(monkeypatch, 2, row_blocks, np.ones((300, 2)), np.ones((3, 2)), fail)
         assert threading.active_count() == threads
-        # the helper ran its whole run in its own thread, joined before the error was raised
-        assert [start for start, _ in helper] == [100, 200]
+        # the helper ran its whole run, the second half of the grid, in its own thread,
+        # joined before the error was raised
+        count = -(-300 // (ROW_BLOCK // 2))
+        assert count >= 3
+        assert [start for start, _ in helper] == [300 * b // count for b in range(count // 2, count)]
         assert threading.current_thread() not in {thread for _, thread in helper}
 
 
@@ -203,6 +206,19 @@ def test_entropies_equal_the_dense_oracle_on_random_banks(monkeypatch, n, tau, w
     np.testing.assert_array_equal(got, dense_entropies(stacked, tau))
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("tau", [0.07, 1e-4])
+@pytest.mark.parametrize("n", [ROW_BLOCK - 19, 2 * ROW_BLOCK + 37, 513, 2500])
+def test_plan_equals_the_entropy_and_neighbourhood_passes(monkeypatch, n, tau, workers):
+    # the plan's one pass takes each block's top k and then its entropies: both equal those of
+    # the separate passes, on random rows that round their products by block height
+    bank = random_bank(n, 16, seed=n + 11)
+    config = TrainConfig(layer_sizes=(4, 16), rounds=4, tau=tau, k=10)
+    plan = at_workers(monkeypatch, workers, plan_round, bank, config, 2)
+    np.testing.assert_array_equal(plan.entropies, bank_entropies(bank, tau))
+    np.testing.assert_array_equal(plan.members, build_neighbourhoods(bank, config.k))
+
+
 class TestTrainThreads:
     """train starts only the row-block passes' helpers and joins each however it ends."""
 
@@ -225,8 +241,8 @@ class TestTrainThreads:
         started = self.started_threads(monkeypatch)
         config = self.config()
         train(inputs, config)
-        # each plan's two row-block passes start one helper; the batch losses start none
-        assert len(started) == 2 * config.rounds
+        # each plan's one row-block pass starts one helper; the batch losses start none
+        assert len(started) == config.rounds
         assert not any(thread.is_alive() for thread in started)
 
     def test_no_thread_left_after_train_raises(self, monkeypatch):
