@@ -8,8 +8,8 @@
 # under test. BLAS keeps one thread, since at N = 2500 its thread count moves the batch loss's
 # score bits. The datasets are generated into OUT_DIR, and the runs write there:
 #   OUT_DIR/         the README walkthrough's train, eval --probe and inspect (N = 400)
-#   OUT_DIR/wide/    one round at N = 5000 and k = 10: rows wide enough that the top-k narrows
-#                    them to candidate columns first, and 40 row blocks a pass
+#   OUT_DIR/wide/    one round at N = 5000 and k = 10: 79 row blocks a pass, and rows that the
+#                    top-k bound cuts into 227 groups of 22 columns and a 6-column tail
 #   OUT_DIR/odd/     two rounds at N = 2500, a bank whose row count is not a multiple of 8,
 #                    where OpenBLAS rounds a product differently by block height
 #   OUT_DIR/cold/    two rounds at tau = 0.003, planned on cold rows: about half of each row's

@@ -12,20 +12,19 @@ class-pure neighbourhood, while a flat row marks a crowded, ambiguous one.
 Every N x N score matrix is computed in row blocks (`row_blocks`), so
 planning, kNN evaluation and `inspect` hold O(ROW_BLOCK * N) scores at a
 time, and a plan computes each block once for both its top-k and its
-entropies. `top_k` selects by partition rather than a full sort, and on a
-wide row it first keeps only the columns that a bound from group maxima
-cannot rule out (about sqrt(N * k) of them), so the kNN and neighbourhood
-passes hold no N-wide array beside the scores (the plan's entropies one of a
-few rows). A bank's scores against itself leave each row's own column out
-of its top-k by `top_k_others`, which hands the block back as it came. The
-blocks run on up to two CPUs of the process's affinity mask
-(`taskset` limits them): the calling thread walks the first contiguous run
-of blocks and one helper thread, started and joined by each call, the
-other, each into one score buffer that the calling thread allocates once
-per call. Every output row depends only on its own row of scores, and the
-blocks are cut by the row count alone, never shorter than MIN_ROWS rows, so
-the bytes do not depend on the CPU count. This helper thread is the
-package's only one.
+entropies. `top_k` ranks about sqrt(N * k) entries a row: a bound from each
+row's strided group maxima keeps the entries that can rank, and one lexsort
+ranks them, so the kNN and neighbourhood passes hold no N-wide array beside
+the scores (the plan's entropies one of a few rows). A bank's scores against
+itself leave each row's own column out of its top-k by `top_k_others`, which
+hands the block back as it came. The blocks run on up to two CPUs of the
+process's affinity mask (`taskset` limits them): the calling thread walks
+the first contiguous run of blocks and one helper thread, started and joined
+by each call, the other, each into one score buffer that the calling thread
+allocates once per call. Every output row depends only on its own row of
+scores, and the blocks are cut by the row count alone, never shorter than
+ROW_BLOCK // 4 rows, so the bytes do not depend on the CPU count. This
+helper thread is the package's only one.
 
 All log/entropy values use the natural logarithm; only the entropy ordering
 matters for curriculum selection, so the base is a free choice. The plan
@@ -51,21 +50,15 @@ from .memory import FeatureBank
 # ms at 64, 128, 256 and 512 rows in flight, where its two passes had taken
 # 128 ms at 256; a kNN pass took 95, 73, 54 and 52 ms. 128 rows keep the
 # plan's time at half its scores (a 2.5 MB block per worker), for about 20 ms
-# more per kNN pass
-ROW_BLOCK = 128
-# fewest rows in a row block, bar a query matrix with fewer: OpenBLAS takes
-# a matrix-vector path for one row, and on x86-64 it rounded blocks of 2-11
+# more per kNN pass. The blocks are near-equal, so none is shorter than
+# ROW_BLOCK // 4 = 32 rows bar a query matrix with fewer: OpenBLAS takes a
+# matrix-vector path for one row, and on x86-64 it rounded blocks of 2-11
 # rows differently from taller ones (d = 4 and 16, most bank sizes tried from
 # 300 to 5001). Where the bank's row count is not a multiple of 8 it also
 # rounded a 128-row block differently from the same rows cut into 64- or
 # 32-row blocks (N = 513, 700, 1000, 2500, 9999), so `row_blocks` cuts its
 # grid by the row count alone, never by the CPUs
-MIN_ROWS = 32
-# top_k narrows a row to candidate columns only where it holds at least this
-# many columns per wanted one; on (128, m) blocks with k = 10 (one Xeon core)
-# the narrowing took m = 400 from 0.39 to 0.49 ms, m = 640 from 0.74 to 0.52
-# and m = 5000 from 4.1 to 1.5
-PREFILTER = 64
+ROW_BLOCK = 128
 
 
 def _cpus() -> int:
@@ -82,7 +75,7 @@ def row_blocks(queries: np.ndarray, keys: np.ndarray, fn) -> None:
     `scores` holds queries[start:start + len(scores)] @ keys.T, in a buffer
     that `fn` may overwrite. The query rows are cut into near-equal blocks of
     at most ROW_BLOCK // 2 rows, a grid that depends on the row count alone,
-    so no block is shorter than MIN_ROWS unless the queries are. Where
+    so no block is shorter than ROW_BLOCK // 4 unless the queries are. Where
     the affinity mask holds two CPUs or more and there are two blocks or more,
     the calling thread walks the first half of the blocks and a helper thread
     the second, each into its own buffer (ROW_BLOCK rows of scores in flight);
@@ -129,73 +122,6 @@ def row_blocks(queries: np.ndarray, keys: np.ndarray, fn) -> None:
         raise raised[0]
 
 
-def _select(scores: np.ndarray, k: int) -> np.ndarray:
-    """Positions of the k largest scores in each row, best first, ties to the lower position.
-
-    A partition finds each row's k-th largest score and the entries at or
-    above it are sorted. A row whose k-th score ties beyond k entries sorts
-    only those entries; a row with fewer than k of them, which only a NaN
-    makes (the partition ranks NaN largest, the sort smallest), is sorted
-    whole.
-    """
-    rows, m = scores.shape
-    aux = scores.copy()
-    aux.partition(m - k, axis=1)
-    mask = scores >= aux[:, m - k, None]
-    counts = mask.sum(axis=1)
-    out = np.empty((rows, k), dtype=np.intp)
-    # nonzero lists each row's columns in ascending order, so a stable sort
-    # of their scores breaks ties to the lower index
-    hit_rows, hit_cols = np.nonzero(mask)
-    fits = counts == k
-    exact = np.flatnonzero(fits)
-    cols = hit_cols[np.repeat(fits, counts)].reshape(-1, k)
-    order = np.argsort(-scores[exact[:, None], cols], axis=1, kind="stable")
-    out[exact] = np.take_along_axis(cols, order, axis=1)
-    over = counts > k
-    if over.any():
-        # each tied row's at-or-above entries, sorted by row, then by score;
-        # lexsort is stable, so equal scores keep ascending column order
-        take = np.repeat(over, counts)
-        rows_over, cols_over = hit_rows[take], hit_cols[take]
-        ranked = cols_over[np.lexsort((-scores[rows_over, cols_over], rows_over))]
-        starts = np.cumsum(counts[over]) - counts[over]
-        out[over] = ranked[starts[:, None] + np.arange(k)]
-    short = np.flatnonzero(counts < k)
-    out[short] = np.argsort(-scores[short], axis=1, kind="stable")[:, :k]
-    return out
-
-
-def _candidates(scores: np.ndarray, k: int) -> np.ndarray:
-    """Flat indices into `scores` of each row's candidates for its top k, in ascending order.
-
-    The groups and the bound are those that `top_k` describes; every row
-    takes as many groups as the row that keeps the most. Each (rows, G)
-    temporary is released once the next one exists, so at most two are held.
-    """
-    rows, m = scores.shape
-    slices = math.isqrt(m // k)
-    width = m // slices
-    head = slices * width
-    maxima = scores[:, :head].reshape(rows, slices, width).max(axis=1)
-    # a fancy index copies the bound column, so the partitioned array is freed at once
-    bound = np.partition(maxima, width - k, axis=1)[:, [width - k]]
-    drop = maxima < bound
-    drop[np.isnan(maxima).any(axis=1)] = False
-    del maxima
-    kept = width - int(drop.sum(axis=1).min())
-    # kept groups key below dropped ones; of the dropped, the lowest-numbered fill the row
-    key = width * drop
-    del drop
-    key += np.arange(width)
-    key.partition(kept - 1, axis=1)
-    groups = np.sort(key[:, :kept], axis=1) % width
-    del key
-    starts = m * np.arange(rows)[:, None]
-    flat = groups[:, None, :] + (starts[:, :, None] + np.arange(0, head, width)[:, None])
-    return np.concatenate([flat.reshape(rows, -1), starts + np.arange(head, m)], axis=1)
-
-
 def top_k(scores: np.ndarray, k: int) -> np.ndarray:
     """Column indices of the k largest scores in each row, best first.
 
@@ -203,32 +129,46 @@ def top_k(scores: np.ndarray, k: int) -> np.ndarray:
     by planning, kNN evaluation and `inspect`, so runs are reproducible.
     The result equals ``np.argsort(-scores, axis=1, kind="stable")[:, :k]``.
 
-    Where a row holds at least PREFILTER columns per wanted one, a bound
-    first narrows it to about sqrt(m * k) candidate columns. The first g * G
+    A bound narrows each row to about sqrt(m * k) entries. The first g * G
     columns, g = isqrt(m // k) and G = m // g, form G groups: group c holds
     columns c, c + G, c + 2G, ..., so the group maxima are one elementwise
-    max over g strided slices. The k-th largest group maximum is at most the
-    row's k-th largest score, since the k largest group maxima are k
+    max over g strided slices. The row's k-th largest group maximum is at
+    most its k-th largest score, since the k largest group maxima are k
     distinct entries. So every score at or above the k-th, ties included,
     lies in a group whose maximum reaches that bound, or among the < g tail
-    columns past g * G. Where another row of the block keeps more groups, a
-    row also takes some whose every score is below its bound, which
-    therefore never rank. The candidates keep ascending column order, so
-    the selection on their scores keeps the tie rule. A row whose group
-    maxima hold a NaN keeps every group, so it takes the selection on all
-    its columns and that selection's NaN rule.
-
-    The selection (`_select`) partitions for each row's k-th largest score
-    and sorts the entries at or above it.
+    columns past g * G. Those entries at or above the bound are ranked by
+    one lexsort on (row, -score, column), and each row takes its first k.
+    A row's entries depend on its own scores alone. Only a NaN (which
+    partitions as the largest value and argsorts as the smallest) leaves a
+    row fewer than k entries at or above its bound; such a row is
+    stable-argsorted whole.
     """
     rows, m = scores.shape
     if not 1 <= k <= m:
         raise ConfigurationError(f"k must lie in [1, {m}], got {k}")
-    if m < PREFILTER * k or rows == 0:
-        return _select(scores, k)
-    flat = _candidates(scores, k)
-    picked = _select(np.ascontiguousarray(scores).take(flat), k)
-    return np.take_along_axis(flat, picked, axis=1) - m * np.arange(rows)[:, None]
+    scores = np.ascontiguousarray(scores)
+    slices = math.isqrt(m // k)
+    width = m // slices
+    head = slices * width
+    maxima = scores[:, :head].reshape(rows, slices, width).max(axis=1)
+    # a fancy index copies the bound column, so the partitioned array is freed at once
+    bound = np.partition(maxima, width - k, axis=1)[:, [width - k]]
+    # a NaN maximum keeps its group, whose other entries may still rank
+    hit_rows, groups = np.nonzero(~(maxima < bound))
+    del maxima
+    flat = (m * hit_rows + groups)[:, None] + np.arange(0, head, width)
+    flat = flat[scores.take(flat) >= bound[hit_rows]]
+    tail_rows, tail = np.nonzero(scores[:, head:] >= bound)
+    flat = np.concatenate([flat, m * tail_rows + head + tail])
+    row, col = np.divmod(flat, m)
+    ranked = col[np.lexsort((col, -scores.take(flat), row))]
+    counts = np.bincount(row, minlength=rows)
+    out = np.empty((rows, k), dtype=np.intp)
+    full = counts >= k
+    out[full] = ranked[(np.cumsum(counts) - counts)[full, None] + np.arange(k)]
+    short = np.flatnonzero(~full)
+    out[short] = np.argsort(-scores[short], axis=1, kind="stable")[:, :k]
+    return out
 
 
 def top_k_others(scores: np.ndarray, start: int, k: int) -> np.ndarray:

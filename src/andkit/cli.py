@@ -244,7 +244,10 @@ def cmd_curve(args) -> int:
             continue
         try:
             row = json.loads(line)
-            MetricsRecord(**row)  # a TypeError unless the line holds exactly a record's fields
+            MetricsRecord(**row)  # a TypeError unless the line holds only a record's fields
+            missing = {"consistent_count", "inconsistent_count"} - row.keys()
+            if missing:
+                raise TypeError(f"no {' or '.join(sorted(missing))}")
             counts = {type(row["consistent_count"]), type(row["inconsistent_count"])}
             if type(row["round"]) is not int or counts not in ({int}, {type(None)}):
                 raise TypeError("round must be an integer, the counts both integers or both null")

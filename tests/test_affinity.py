@@ -5,13 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from andkit.affinity import (
-    PREFILTER,
-    ROW_BLOCK,
-    _select,
-    build_neighbourhoods,
-    top_k,
-)
+from andkit.affinity import ROW_BLOCK, build_neighbourhoods, top_k
 from andkit.errors import ConfigurationError, ContractError
 from andkit.evaluation import knn_predict_batch
 from andkit.memory import FeatureBank
@@ -170,11 +164,15 @@ class TestTopK:
     def test_matches_stable_argsort_on_wide_rows(self, m):
         # 5000 and 20000 are no multiple of their group widths (227 and 454), so
         # every row has tail columns outside the groups
-        assert m % (m // math.isqrt(m // 10)) and m >= PREFILTER * 10
+        assert m % (m // math.isqrt(m // 10))
         queries = random_bank(24, 16, seed=m).features
         scores = queries @ random_bank(m, 16, seed=m + 1).features.T
         scores[::3, ::7] = -np.inf
         self.assert_stable_argsort(scores, (1, 10, m - 1, m))
+        # one row a block: a row's result depends on its own scores alone
+        oracle = np.argsort(-scores, axis=1, kind="stable")
+        for i in range(len(scores)):
+            np.testing.assert_array_equal(top_k(scores[i:i + 1], 10), oracle[i:i + 1, :10])
 
     def test_ties_straddle_groups(self):
         # a bank of 20 copies: each row's best score ties 20 ways, one copy every
@@ -202,7 +200,7 @@ class TestTopK:
     def test_nan_rows_take_the_all_columns_selection(self):
         # 4003 columns: for k = 1, 10 and 50 the last three are tail columns
         wide = random_bank(40, 8, seed=18).features @ random_bank(4003, 8, seed=19).features.T
-        wide[3, 17] = np.nan  # in a group
+        wide[3, 17] = np.nan  # in a group, which is kept whole
         wide[5, 4001] = np.nan  # in the tail: the row is still narrowed
         wide[21, :3900] = np.nan  # a row of mostly NaN
         narrow = dyadic_matrix(40, 6, seed=70) @ dyadic_matrix(90, 6, seed=71).T
@@ -212,10 +210,9 @@ class TestTopK:
             scores[20, ::3] = -np.inf
             oracle = np.argsort(-scores, axis=1, kind="stable")
             for k in ks:
-                expected = _select(scores, k)  # the selection on every column
+                expected = oracle[:, :k]
                 np.testing.assert_array_equal(top_k(scores, k), expected, err_msg=f"k={k}")
-                np.testing.assert_array_equal(expected, oracle[:, :k], err_msg=f"k={k}")
-                # one row a block: no other row's groups widen its candidates
+                # one row a block: a row's result depends on its own scores alone
                 for i in range(len(scores)):
                     np.testing.assert_array_equal(
                         top_k(scores[i:i + 1], k), expected[i:i + 1], err_msg=f"row {i}, k={k}"
@@ -230,7 +227,7 @@ class TestTopK:
     )
     @settings(max_examples=60, deadline=None)
     def test_matches_stable_argsort_on_tie_heavy_rows(self, seed, rows, m, levels, k_share):
-        # most k here are far below m, so most examples narrow their rows first
+        # most k here are far below m, so most rows narrow to a few groups
         rng = SeededRng(seed)
         scores = np.floor(rng.uniforms((rows, m)) * levels)
         scores[rng.uniforms((rows, m)) < 0.1] = -np.inf
@@ -274,8 +271,9 @@ class TestPeakMemory:
         assert peak < self.budget()
 
     def test_top_k_holds_its_group_temporaries_one_or_two_at_a_time(self):
-        # k = 10 narrows each 5000-column row to candidates through (125, 227) group arrays
-        # of 227 KB each; all four held at once take the peak past a fifth of the block
+        # k = 10 bounds each 5000-column row by (125, 227) group maxima of 227 KB, held with
+        # their partitioned copy; the maxima are freed before the gathered groups (about 10 of
+        # 22 columns a row: 220 KB of flat indices, as much of their scores) are built
         bank = random_bank(5000, 16, seed=27)
         scores = bank.features[:125] @ bank.features.T
         assert traced_peak(top_k, scores, 10) < scores.nbytes / 5

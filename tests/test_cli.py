@@ -524,6 +524,9 @@ class TestCurve:
             json.dumps({**record, "round": True}),
             json.dumps({**record, "consistent_count": "x", "inconsistent_count": None}),
             json.dumps({**record, "consistent_count": 3, "inconsistent_count": None}),
+            '{"round": 1, "epoch": 0, "mean_loss": 1.0, "selected_fraction": 0.5}',
+            json.dumps({key: v for key, v in record.items() if key != "consistent_count"}),
+            json.dumps({key: v for key, v in record.items() if key != "inconsistent_count"}),
         ):
             path.write_text(good + bad + "\n")
             capsys.readouterr()

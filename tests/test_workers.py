@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 from andkit import affinity
-from andkit.affinity import MIN_ROWS, PREFILTER, ROW_BLOCK, build_neighbourhoods, row_blocks
+from andkit.affinity import ROW_BLOCK, build_neighbourhoods, row_blocks
 from andkit.evaluation import knn_predict_batch
 from andkit.losses import round_batch_loss
 from andkit.memory import FeatureBank
@@ -55,7 +55,7 @@ def dyadic_bank(n, seed):
 
 class TestSpans:
     @pytest.mark.parametrize("workers", [1, 2, 3, 4])
-    @pytest.mark.parametrize("n", [*SIZES, 1, MIN_ROWS + 1, 2 * MIN_ROWS, 1000])
+    @pytest.mark.parametrize("n", [*SIZES, 1, ROW_BLOCK // 4 + 1, ROW_BLOCK // 2, 1000])
     def test_blocks_cover_every_row_once(self, monkeypatch, workers, n):
         queries = dyadic_matrix(n, 4, seed=n)
         keys = dyadic_matrix(50, 4, seed=1)
@@ -73,7 +73,7 @@ class TestSpans:
         assert sorted((start, rows) for start, rows, _ in seen) == [
             (lo, hi - lo) for lo, hi in zip(edges, edges[1:])
         ]
-        assert min(r for _, r, _ in seen) >= min(n, MIN_ROWS)
+        assert min(r for _, r, _ in seen) >= min(n, ROW_BLOCK // 4)
         # the calling thread walks the first run of blocks, one helper thread the other
         threads = {t for _, _, t in seen}
         assert threading.current_thread() in threads
@@ -263,12 +263,9 @@ class TestTrainThreads:
 
 
 class TestPrefilteredRows:
-    """At n = 2000 and k = 10 top_k narrows each row to candidate columns first."""
+    """At n = 2000 and k = 10 top_k bounds each row by 142 groups of 14 columns and 12 more."""
 
     N = 2000
-
-    def test_rows_are_wide_enough_to_narrow(self):
-        assert self.N >= PREFILTER * 10
 
     def test_build_neighbourhoods(self, monkeypatch):
         bank = dyadic_bank(self.N, 68)
