@@ -11,26 +11,26 @@ class-pure neighbourhood, while a flat row marks a crowded, ambiguous one.
 
 Every N x N score matrix is computed in row blocks (`row_blocks`), so
 planning, kNN evaluation and `inspect` hold O(ROW_BLOCK * N) scores at a
-time, and a plan computes each block once for both its top-k and its
-entropies. `top_k` ranks about sqrt(N * k) entries a row: a bound from each
-row's strided group maxima keeps the entries that can rank, and one lexsort
-ranks them, so the kNN and neighbourhood passes hold no N-wide array beside
-the scores (the plan's entropies one of a few rows). A bank's scores against
-itself leave each row's own column out of its top-k by `top_k_others`, which
-hands the block back as it came. The blocks run on up to two CPUs of the
-process's affinity mask (`taskset` limits them): the calling thread walks
-the first contiguous run of blocks and one helper thread, started and joined
-by each call, the other, each into one score buffer that the calling thread
-allocates once per call. Every output row depends only on its own row of
-scores, and the blocks are cut by the row count alone, never shorter than
-ROW_BLOCK // 4 rows, so the bytes do not depend on the CPU count. This
-helper thread is the package's only one.
+time, and `bank_pass` computes each block of a bank against itself once for
+both its top-k and its entropies. `top_k` ranks about sqrt(N * k) entries a
+row: a bound from each row's strided group maxima keeps the entries that can
+rank, and one lexsort ranks them, so the kNN and neighbourhood passes hold
+no N-wide array beside the scores (the entropies one of a few rows). A
+bank's scores against itself leave each row's own column out of its top-k by
+`top_k_others`, which hands the block back as it came. The blocks run on up
+to two CPUs of the process's affinity mask (`taskset` limits them): the
+calling thread walks the first contiguous run of blocks and one helper
+thread, started and joined by each call, the other, each into one score
+buffer that the calling thread allocates once per call. Every output row
+depends only on its own row of scores, and the blocks are cut by the row
+count alone, never shorter than ROW_BLOCK // 4 rows, so the bytes do not
+depend on the CPU count. This helper thread is the package's only one.
 
 All log/entropy values use the natural logarithm; only the entropy ordering
-matters for curriculum selection, so the base is a free choice. The plan
-(`pipeline.plan_round`, or `pipeline.bank_entropies` alone) takes every row's
-entropy straight from its scores, in log space. The per-row references,
-`prob_row` and `entropy`, are test oracles in `tests/oracles.py`.
+matters for curriculum selection, so the base is a free choice. `bank_pass`
+takes every row's entropy straight from its scores, in log space. The
+per-row references, `prob_row` and `entropy`, are test oracles in
+`tests/oracles.py`.
 """
 
 from __future__ import annotations
@@ -59,6 +59,10 @@ from .memory import FeatureBank
 # 32-row blocks (N = 513, 700, 1000, 2500, 9999), so `row_blocks` cuts its
 # grid by the row count alone, never by the CPUs
 ROW_BLOCK = 128
+# rows of one exp slice in `_block_entropies`: at N = 5000 (64-row blocks, one
+# BLAS thread) a plan's entropies took 124 ms in 32-row slices, 115 in 8-row
+# ones and 127 in 4-row ones, with equal bits
+_EXP_ROWS = 8
 
 
 def _cpus() -> int:
@@ -186,32 +190,57 @@ def top_k_others(scores: np.ndarray, start: int, k: int) -> np.ndarray:
     return top
 
 
-def anchor_members(n: int, k: int) -> np.ndarray:
-    """An (n, k+1) int64 member array whose column 0 holds each row's anchor.
+def _block_entropies(scores: np.ndarray, tau: float, out: np.ndarray) -> None:
+    """Write the consistency entropy of every row of a score block into `out`.
 
-    The other k columns are left for the search to fill. k outside [0, n - 1]
-    is a ConfigurationError.
+    In log space, no probability formed: with s = (z - max z) / tau, e = exp(s)
+    and Z = sum e, H = log Z - sum(e s) / Z. As s <= 0, Z >= 1, and an e that
+    underflows to 0 adds 0, as 0 log 0 = 0 asks. s overwrites the block, and
+    e is taken _EXP_ROWS rows at a time into one small buffer; each row's bits
+    do not depend on how many rows a slice holds.
     """
+    scores -= scores.max(axis=1, keepdims=True)
+    scores /= tau
+    buf = np.empty((_EXP_ROWS, scores.shape[1]))
+    for i in range(0, len(scores), _EXP_ROWS):
+        s = scores[i:i + _EXP_ROWS]
+        e = np.exp(s, out=buf[:len(s)])
+        z = e.sum(axis=1)
+        out[i:i + len(s)] = np.log(z) - np.einsum("ij,ij->i", e, s) / z
+
+
+def bank_pass(
+    bank: FeatureBank, k: int, tau: float | None = None
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """(members, entropies) of every bank row, from one pass of the bank against itself.
+
+    members is (n, k+1) int64: row i is anchor i, then the k other rows with
+    the largest inner products against it (k outside [0, n - 1] is a
+    ConfigurationError). entropies is each row's consistency entropy at
+    temperature tau, or None without tau. Each block of scores gives its
+    top k (`top_k_others`), then its entropies in place (`_block_entropies`):
+    O(n^2 d) work, O(ROW_BLOCK * n) scores in flight. k = 0 without tau
+    makes no pass.
+    """
+    n = bank.n
     if not 0 <= k <= n - 1:
         raise ConfigurationError(f"k must lie in [0, {n - 1}], got {k}")
     members = np.empty((n, k + 1), dtype=np.int64)
     members[:, 0] = np.arange(n)  # the anchor joins explicitly, not via search
-    return members
+    entropies = None if tau is None else np.empty(n)
+
+    def block(start, scores):
+        stop = start + len(scores)
+        if k:
+            members[start:stop, 1:] = top_k_others(scores, start, k)
+        if entropies is not None:
+            _block_entropies(scores, tau, entropies[start:stop])
+
+    if k or entropies is not None:
+        row_blocks(bank.features, bank.features, block)
+    return members, entropies
 
 
 def build_neighbourhoods(bank: FeatureBank, k: int) -> np.ndarray:
-    """Exact top-k cosine member array, shape (n, k+1), for every bank row.
-
-    Row i is anchor i followed by the k other rows with the largest inner
-    products against row i. Exact search over all pairs, one row block at a
-    time: O(n^2 d) work and O(ROW_BLOCK * n) memory.
-    """
-    members = anchor_members(bank.n, k)
-    if k == 0:
-        return members
-
-    def block(start, scores):
-        members[start:start + len(scores), 1:] = top_k_others(scores, start, k)
-
-    row_blocks(bank.features, bank.features, block)
-    return members
+    """Exact top-k cosine member array, shape (n, k+1), for every bank row (`bank_pass`)."""
+    return bank_pass(bank, k)[0]

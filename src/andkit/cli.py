@@ -225,14 +225,14 @@ def cmd_inspect(args) -> int:
     else:
         print(f"note: no {plans}; re-planning round {r} on the final bank", file=sys.stderr)
         plan = plan_round(ckpt.bank, ckpt.config, r)
-    flags = None if labels is None else consistent_rows(plan.members, labels)
+    consistent = [""] * ckpt.bank.n
+    if labels is not None:
+        consistent = map(str, consistent_rows(plan.members, labels).astype(int).tolist())
+    selected = map(str, plan.selected.astype(int).tolist())
+    columns = (plan.members.tolist(), plan.entropies.tolist(), selected, consistent)
     lines = ["anchor,members,entropy,selected,consistent"]
-    for i, row in enumerate(plan.members.tolist()):
-        consistent = "" if flags is None else str(int(flags[i]))
-        members = ";".join(str(j) for j in row)
-        lines.append(
-            f"{i},{members},{float(plan.entropies[i])!r},{int(plan.selected[i])},{consistent}"
-        )
+    for i, (row, entropy, sel, con) in enumerate(zip(*columns)):
+        lines.append(f"{i},{';'.join(map(str, row))},{entropy!r},{sel},{con}")
     _emit("\n".join(lines) + "\n", args.out)
     return 0
 

@@ -32,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigurationError, FormatError, ParseError
-from .numerics import SeededRng, l2_normalize
+from .numerics import SeededRng, is_integer, l2_normalize
 
 _MAGIC = b"ANDS"
 _VERSION = 1
@@ -113,10 +113,11 @@ def generate_blobs(spec: BlobSpec) -> Dataset:
     `noise_sigma`. Rows are class-major (all of class 0 first). The same
     seed reproduces the same dataset bit for bit.
     """
-    if spec.num_classes < 2 or spec.per_class < 2 or spec.dim < 2:
+    counts = (spec.num_classes, spec.per_class, spec.dim)
+    if not all(map(is_integer, (*counts, spec.seed))) or min(counts) < 2:
         raise ConfigurationError(
-            "blob spec needs num_classes >= 2, per_class >= 2, dim >= 2, got "
-            f"({spec.num_classes}, {spec.per_class}, {spec.dim})"
+            "blob spec needs integers num_classes >= 2, per_class >= 2, dim >= 2 and seed, got "
+            f"({spec.num_classes}, {spec.per_class}, {spec.dim}, seed {spec.seed})"
         )
     if not (math.isfinite(spec.center_scale) and spec.center_scale >= 0):
         raise ConfigurationError(

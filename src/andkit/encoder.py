@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, ContractError, DimensionError, NumericError
-from .numerics import SeededRng, row_norms
+from .numerics import SeededRng, is_integer, row_norms
 
 REFERENCE_EPOCHS = 200
 DECAY_START = 80
@@ -47,7 +47,12 @@ class EncoderConfig:
     seed: int = 0
 
     def __post_init__(self):
-        sizes = tuple(int(s) for s in self.layer_sizes)
+        sizes = tuple(self.layer_sizes)
+        if not all(map(is_integer, (*sizes, self.seed))):
+            raise ConfigurationError(
+                f"layer sizes and seed must be integers, got {sizes!r}, seed {self.seed!r}"
+            )
+        sizes = tuple(map(int, sizes))
         object.__setattr__(self, "layer_sizes", sizes)
         if len(sizes) < 2 or any(s < 1 for s in sizes):
             raise ConfigurationError(f"layer_sizes needs >= 2 positive entries, got {sizes}")

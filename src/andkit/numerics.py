@@ -26,6 +26,7 @@ step's powers, and keep the scalar loops' bits.
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -65,6 +66,11 @@ def _jump_table(span: int) -> np.ndarray:
             table[:, 1 << bit : 2 << bit] = table[:, : 1 << bit] ^ cols[bit::8, None]
         _JUMPS.setdefault(span, table)  # built once a process; racing builders store equal tables
     return _JUMPS[span]
+
+
+def is_integer(value) -> bool:
+    """True for an integral value (a numpy integer too) that is not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def splitmix64(x: int) -> int:

@@ -6,10 +6,11 @@ At the start of round r >= 1 the memory bank is frozen for planning: every
 sample's similarity distribution (query = its own memory row) yields a
 consistency entropy, the floor(N * r / R) lowest-entropy anchors are
 selected for neighbourhood supervision, and the exact top-k member array of
-every anchor is built (row i: anchor i first, then its k nearest rows). The
-plan stays fixed for the whole round while the bank keeps updating every
-batch. In `plan_round`, one-off selects as at round R and instance-only
-selects no anchor. Every round, the warm-up included, anneals from `base_lr`.
+every anchor is built (row i: anchor i first, then its k nearest rows),
+both from one `affinity.bank_pass` over the bank. The plan stays fixed for
+the whole round while the bank keeps updating every batch. In `plan_round`,
+one-off selects as at round R and instance-only selects no anchor. Every
+round, the warm-up included, anneals from `base_lr`.
 
 Training never sees labels: `train` accepts only the raw input matrix.
 Label-dependent diagnostics (neighbourhood consistency, kNN accuracy)
@@ -61,7 +62,7 @@ from typing import Callable
 
 import numpy as np
 
-from .affinity import anchor_members, row_blocks, top_k_others
+from .affinity import bank_pass
 from .affinity import build_neighbourhoods  # not called here; perfbench/spans.py wraps it by name
 from .data import make_batches, write_atomic
 from .encoder import (
@@ -115,10 +116,6 @@ _PLANS_MAGIC = b"ANDP"
 _PLANS_VERSION = 1
 _PLANS_HEAD = struct.Struct("<4sHIIII")  # magic, version, n, k, rounds, checkpoint crc
 PLANS_FILE = "plans.andp"
-# rows of one exp slice in `_block_entropies`: at N = 5000 (64-row blocks, one
-# BLAS thread) a plan's entropies took 124 ms in 32-row slices, 115 in 8-row
-# ones and 127 in 4-row ones, with equal bits
-_EXP_ROWS = 8
 
 MonitorFn = Callable[[int, "RoundPlan", FeatureBank, EncoderParams], dict]
 
@@ -175,8 +172,7 @@ class TrainConfig:
             raise ConfigurationError(f"k must be >= 1, got {self.k}")
         if self.one_off and self.instance_only:
             raise ConfigurationError("one_off and instance_only exclude each other")
-        if any(isinstance(s, bool) or not isinstance(s, numbers.Integral) for s in self.layer_sizes):
-            raise ConfigurationError(f"layer_sizes must be integers, got {self.layer_sizes!r}")
+        EncoderConfig(layer_sizes=self.layer_sizes)  # the one home of the layer-size rules
         # checkpoint v1 stores the counts and layer sizes as u32 and the seed as i64
         u32 = (self.rounds, self.epochs_per_round, self.batch_size, self.k, *self.layer_sizes)
         if max(u32) > _U32_MAX or (self.init_epochs or 0) >= _U32_MAX:
@@ -185,7 +181,6 @@ class TrainConfig:
             )
         if not -(2**63) <= self.seed < 2**63:
             raise ConfigurationError(f"seed must fit in a signed 64-bit integer, got {self.seed}")
-        EncoderConfig(layer_sizes=self.layer_sizes)
         if n is not None and n < 2:
             raise ConfigurationError(f"need at least 2 samples, got {n}")
         if n is not None and self.k > n - 1:
@@ -242,60 +237,20 @@ def select_anchors(entropies, r: int, R: int) -> np.ndarray:
     return mask
 
 
-def _block_entropies(scores: np.ndarray, tau: float, out: np.ndarray) -> None:
-    """Write the consistency entropy of every row of a score block into `out`.
-
-    In log space, no probability formed: with s = (z - max z) / tau, e = exp(s)
-    and Z = sum e, H = log Z - sum(e s) / Z. As s <= 0, Z >= 1, and an e that
-    underflows to 0 adds 0, as 0 log 0 = 0 asks. s overwrites the block, and
-    e is taken _EXP_ROWS rows at a time into one small buffer; each row's bits
-    do not depend on how many rows a slice holds.
-    """
-    scores -= scores.max(axis=1, keepdims=True)
-    scores /= tau
-    buf = np.empty((_EXP_ROWS, scores.shape[1]))
-    for i in range(0, len(scores), _EXP_ROWS):
-        s = scores[i:i + _EXP_ROWS]
-        e = np.exp(s, out=buf[:len(s)])
-        z = e.sum(axis=1)
-        out[i:i + len(s)] = np.log(z) - np.einsum("ij,ij->i", e, s) / z
-
-
 def bank_entropies(bank: FeatureBank, tau: float) -> np.ndarray:
-    """Consistency entropy of every memory row queried against the whole bank.
-
-    Each row block goes through `_block_entropies`, as in `plan_round`.
-    """
-    out = np.empty(bank.n)
-
-    def block(start, scores):
-        _block_entropies(scores, tau, out[start:start + len(scores)])
-
-    row_blocks(bank.features, bank.features, block)
-    return out
+    """Consistency entropy of every memory row queried against the whole bank (`bank_pass`)."""
+    return bank_pass(bank, 0, tau)[1]
 
 
 def plan_round(bank: FeatureBank, config: TrainConfig, r: int) -> RoundPlan:
     """Freeze entropies, neighbourhoods, and the selection mask that round r trains on.
 
-    One `row_blocks` pass computes each block of bank scores once: its top k
-    (`top_k_others`), then its entropies in place (`_block_entropies`). The
-    grid and each row's operations are those of `build_neighbourhoods` and
-    `bank_entropies`, so the plan equals theirs bit for bit, with one block
-    of at most ROW_BLOCK // 2 rows in flight per worker.
-
-    One-off selects as at round R in every round; instance-only selects no anchor.
+    One `bank_pass` computes each block of bank scores once for both the
+    members and the entropies, so the plan equals `build_neighbourhoods`
+    plus `bank_entropies` bit for bit. One-off selects as at round R in
+    every round; instance-only selects no anchor.
     """
-    members = anchor_members(bank.n, config.k)
-    entropies = np.empty(bank.n)
-
-    def block(start, scores):
-        stop = start + len(scores)
-        if config.k:
-            members[start:stop, 1:] = top_k_others(scores, start, config.k)
-        _block_entropies(scores, config.tau, entropies[start:stop])
-
-    row_blocks(bank.features, bank.features, block)
+    members, entropies = bank_pass(bank, config.k, config.tau)
     return RoundPlan(entropies, _selection(entropies, config, r), members)
 
 

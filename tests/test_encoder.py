@@ -45,6 +45,13 @@ class TestInitParams:
             EncoderConfig(layer_sizes=(4,))
         with pytest.raises(ConfigurationError):
             EncoderConfig(layer_sizes=(4, 1))  # output dim below 2
+        # refused, not truncated to (4, 8, 3) or (1, 8, 3)
+        for sizes in ((4.9, 8, 3), (True, 8, 3), ("4", 8, 3)):
+            with pytest.raises(ConfigurationError):
+                EncoderConfig(layer_sizes=sizes)
+        for seed in (1.5, True, "1"):
+            with pytest.raises(ConfigurationError):
+                EncoderConfig(layer_sizes=(4, 8, 3), seed=seed)
 
 
 class TestForward:

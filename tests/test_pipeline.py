@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from andkit.affinity import ROW_BLOCK
+from andkit.affinity import ROW_BLOCK, build_neighbourhoods
 from andkit.data import BlobSpec, generate_blobs
 from andkit.errors import ConfigurationError, ContractError, FormatError
 from andkit.memory import FeatureBank
@@ -207,6 +207,28 @@ class TestPlanRound:
         finally:
             tracemalloc.stop()
         assert peak < 0.5 * 8 * n * n, f"peak {peak / (8 * n * n):.2f} x 8N^2 bytes"
+
+    def test_one_bank_pass_per_plan(self, monkeypatch):
+        # a plan computes each block of scores once, for its members and its entropies alike
+        import andkit.affinity as affinity
+
+        passes = []
+        real = affinity.row_blocks
+        monkeypatch.setattr(
+            affinity, "row_blocks", lambda *args: passes.append(args) or real(*args)
+        )
+        bank = random_bank(300, 8, seed=5)
+        cfg = small_config(layer_sizes=(4, 8), rounds=2, k=3)
+        for call, expected in (
+            (lambda: plan_round(bank, cfg, 1), 1),
+            (lambda: bank_entropies(bank, 0.07), 1),
+            (lambda: build_neighbourhoods(bank, 1), 1),
+            (lambda: build_neighbourhoods(bank, 5), 1),
+            (lambda: build_neighbourhoods(bank, 0), 0),
+        ):
+            passes.clear()
+            call()
+            assert len(passes) == expected
 
 
 class TestTrain:
