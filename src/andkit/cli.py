@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import inspect
+import itertools
 import json
 import math
 import sys
@@ -127,7 +128,6 @@ def cmd_train(args) -> int:
                 if isinstance(blob, dict) and key in blob and blob.pop(key) is not kept:
                     raise TypeError(f"retired config key {key!r} only accepts {kept}")
             config = TrainConfig(**blob)
-            config.validate()
             data_path = Path(manifest["data"])  # a TypeError unless it is a path string
             out_dir = Path(args.out) if args.out else Path(manifest["out"])
         except (ValueError, KeyError, TypeError) as err:
@@ -225,15 +225,15 @@ def cmd_inspect(args) -> int:
     else:
         print(f"note: no {plans}; re-planning round {r} on the final bank", file=sys.stderr)
         plan = plan_round(ckpt.bank, ckpt.config, r)
-    consistent = [""] * ckpt.bank.n
+    n = ckpt.bank.n
+    consistent = [""] * n
     if labels is not None:
-        consistent = map(str, consistent_rows(plan.members, labels).astype(int).tolist())
-    selected = map(str, plan.selected.astype(int).tolist())
-    columns = (plan.members.tolist(), plan.entropies.tolist(), selected, consistent)
-    lines = ["anchor,members,entropy,selected,consistent"]
-    for i, (row, entropy, sel, con) in enumerate(zip(*columns)):
-        lines.append(f"{i},{';'.join(map(str, row))},{entropy!r},{sel},{con}")
-    _emit("\n".join(lines) + "\n", args.out)
+        consistent = consistent_rows(plan.members, labels).astype(int).tolist()
+    row = "%d," + ";".join(["%d"] * plan.members.shape[1]) + ",%r,%d,%s\n"
+    selected = plan.selected.astype(int).tolist()
+    columns = (range(n), *plan.members.T.tolist(), plan.entropies.tolist(), selected, consistent)
+    table = (row * n) % tuple(itertools.chain.from_iterable(zip(*columns)))
+    _emit("anchor,members,entropy,selected,consistent\n" + table, args.out)
     return 0
 
 

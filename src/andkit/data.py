@@ -24,8 +24,10 @@ non-negative int32 integers; both loaders refuse them first.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 import struct
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -95,7 +97,7 @@ class Dataset:
 
 @dataclass(frozen=True)
 class BlobSpec:
-    """Recipe for an isotropic-Gaussian blob dataset."""
+    """Recipe for an isotropic-Gaussian blob dataset; building one refuses a bad field."""
 
     num_classes: int
     per_class: int
@@ -103,6 +105,22 @@ class BlobSpec:
     center_scale: float = 5.0
     noise_sigma: float = 1.0
     seed: int = 0
+
+    def __post_init__(self):
+        counts = (self.num_classes, self.per_class, self.dim)
+        if not all(map(is_integer, (*counts, self.seed))) or min(counts) < 2:
+            raise ConfigurationError(
+                "blob spec needs integers num_classes >= 2, per_class >= 2, dim >= 2 and seed, got "
+                f"({self.num_classes}, {self.per_class}, {self.dim}, seed {self.seed})"
+            )
+        scale, sigma = self.center_scale, self.noise_sigma
+        # numbers, not bools; the comparisons below also refuse nan and an int past float range
+        if not all(isinstance(v, numbers.Real) and type(v) is not bool for v in (scale, sigma)):
+            raise ConfigurationError(f"blob scales must be numbers, got {scale!r}, {sigma!r}")
+        if not 0 <= scale <= sys.float_info.max:
+            raise ConfigurationError(f"center_scale must be a finite number >= 0, got {scale}")
+        if not 0 < sigma <= sys.float_info.max:
+            raise ConfigurationError(f"noise_sigma must be a finite number > 0, got {sigma}")
 
 
 def generate_blobs(spec: BlobSpec) -> Dataset:
@@ -113,20 +131,6 @@ def generate_blobs(spec: BlobSpec) -> Dataset:
     `noise_sigma`. Rows are class-major (all of class 0 first). The same
     seed reproduces the same dataset bit for bit.
     """
-    counts = (spec.num_classes, spec.per_class, spec.dim)
-    if not all(map(is_integer, (*counts, spec.seed))) or min(counts) < 2:
-        raise ConfigurationError(
-            "blob spec needs integers num_classes >= 2, per_class >= 2, dim >= 2 and seed, got "
-            f"({spec.num_classes}, {spec.per_class}, {spec.dim}, seed {spec.seed})"
-        )
-    if not (math.isfinite(spec.center_scale) and spec.center_scale >= 0):
-        raise ConfigurationError(
-            f"center_scale must be a finite number >= 0, got {spec.center_scale}"
-        )
-    if not (math.isfinite(spec.noise_sigma) and spec.noise_sigma > 0):
-        raise ConfigurationError(
-            f"noise_sigma must be a finite number > 0, got {spec.noise_sigma}"
-        )
     rng = SeededRng(spec.seed)
     centers = np.stack(
         [l2_normalize(rng.normals(spec.dim)) * spec.center_scale for _ in range(spec.num_classes)]

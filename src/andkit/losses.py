@@ -34,9 +34,9 @@ and its bits ignore the BLAS thread count. The score product's bits follow
 it at some bank sizes (OpenBLAS 0.3.31, AVX-512 Xeon: N = 513, 999, 2500;
 not 400, 5000, 20000), and trained bytes with them.
 
-The whole loss runs in the calling thread. It is bound by memory
-bandwidth: at b = 128, N = 5000 a split of its row passes over a second
-CPU was no faster than one thread.
+The loss runs in the calling thread, bound by its exp, not memory: on a
+2-vCPU EPYC its rows split over two threads took 0.93 against 1.12 ms
+(b = 128, N = 5000) but lost at N = 1500, so ROADMAP parks the split.
 
 Member sets are rows of an int array, anchor first (see `affinity`). The
 per-sample terms, `instance_term` and `neighbourhood_term` (which reject a

@@ -52,10 +52,10 @@ trained on, so that ``andkit inspect`` reads it instead of re-planning.
 
 from __future__ import annotations
 
-import math
 import numbers
 import os
 import struct
+import sys
 import zlib
 from dataclasses import asdict, dataclass, fields
 from typing import Callable
@@ -125,7 +125,8 @@ class TrainConfig:
     """Full recipe for one training run; every knob is seed-determined.
 
     The one home of the training defaults: the CLI passes only the flags given,
-    and `scripts/paper_claims.py` departs from them only in `base_lr`.
+    and `scripts/paper_claims.py` departs from them only in `base_lr`. Building
+    one refuses a bad field; `validate(n)` adds the rules on the sample count.
     """
 
     layer_sizes: tuple[int, ...]
@@ -143,11 +144,8 @@ class TrainConfig:
     instance_only: bool = False  # baseline: every sample keeps its instance term
 
     def __post_init__(self):
-        # a list (as a manifest holds) becomes a tuple; `validate` type-checks the entries
-        object.__setattr__(self, "layer_sizes", tuple(self.layer_sizes))
-
-    def validate(self, n: int | None = None) -> None:
-        """Raise ConfigurationError on a mistyped or out-of-range field, or a bad `n` if given."""
+        if isinstance(self.layer_sizes, list):  # as a manifest holds; other non-tuples are refused
+            object.__setattr__(self, "layer_sizes", tuple(self.layer_sizes))
         for f in fields(self):
             value = getattr(self, f.name)
             kind_ok = isinstance(value, _KINDS[f.type])
@@ -159,12 +157,12 @@ class TrainConfig:
             raise ConfigurationError("epoch counts must be >= 0")
         if self.batch_size < 1:
             raise ConfigurationError(f"batch_size must be >= 1, got {self.batch_size}")
-        if not (math.isfinite(self.base_lr) and self.base_lr > 0):
+        if not 0 < self.base_lr <= sys.float_info.max:  # also refuses nan, an int past float
             raise ConfigurationError(f"base_lr must be a finite number > 0, got {self.base_lr}")
         # Nesterov's velocity decays only for momentum < 1; at 1 or more it never forgets a step
         if not 0.0 <= self.momentum < 1.0:
             raise ConfigurationError(f"momentum must lie in [0, 1), got {self.momentum}")
-        if not (math.isfinite(self.tau) and self.tau > 0):
+        if not 0 < self.tau <= sys.float_info.max:
             raise ConfigurationError(f"tau must be a finite number > 0, got {self.tau}")
         if not 0.0 < self.eta <= 1.0:
             raise ConfigurationError(f"eta must lie in (0, 1], got {self.eta}")
@@ -181,9 +179,12 @@ class TrainConfig:
             )
         if not -(2**63) <= self.seed < 2**63:
             raise ConfigurationError(f"seed must fit in a signed 64-bit integer, got {self.seed}")
-        if n is not None and n < 2:
+
+    def validate(self, n: int) -> None:
+        """Raise ConfigurationError unless `n` samples can train this config."""
+        if n < 2:
             raise ConfigurationError(f"need at least 2 samples, got {n}")
-        if n is not None and self.k > n - 1:
+        if self.k > n - 1:
             raise ConfigurationError(f"k must lie in [1, {n - 1}] for {n} samples, got {self.k}")
 
     @property
@@ -418,8 +419,8 @@ def load_checkpoint(path) -> Checkpoint:
         raise FormatError(f"{path}: reserved config byte is not 0")
     if fields["init_epochs"] == _U32_MAX:
         fields["init_epochs"] = None
-    config = TrainConfig(layer_sizes=sizes, **fields)
     try:
+        config = TrainConfig(layer_sizes=sizes, **fields)
         config.validate(bank_n)
         if not 1 <= final_round <= config.rounds:
             raise ConfigurationError(f"final_round {final_round} outside [1, {config.rounds}]")

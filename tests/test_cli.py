@@ -549,6 +549,34 @@ class TestInspect:
             assert 0.0 <= float(row[2]) <= math.log(100) + 1e-9
             assert row[4] in ("0", "1")
 
+    def test_csv_matches_a_row_by_row_oracle(self, blob_file, tmp_path, capsys):
+        # each form byte for byte, the unlabelled one with its consistent column empty,
+        # at k = 3 so that every row joins several member ids
+        from andkit.data import load_dataset
+        from andkit.evaluation import consistent_rows
+        from andkit.pipeline import load_checkpoint, load_plan
+
+        out = tmp_path / "run"
+        assert run(
+            "train", "--data", blob_file, "--rounds", 2, "--epochs", 1, "--init-epochs", 1,
+            "--layers", "24,8", "--k", 3, "--out", out,
+        ) == 0
+        ckpt = load_checkpoint(out / "checkpoint.andc")
+        plan = load_plan(out / "plans.andp", ckpt, 1)
+        labels = load_dataset(blob_file).labels
+        for consistent, data in (
+            (consistent_rows(plan.members, labels).astype(int).tolist(), ["--data", blob_file]),
+            ([""] * ckpt.bank.n, []),
+        ):
+            expected = "anchor,members,entropy,selected,consistent\n"
+            for i, row in enumerate(plan.members.tolist()):
+                ids = ";".join(str(m) for m in row)
+                entropy = float(plan.entropies[i])
+                expected += f"{i},{ids},{entropy!r},{int(plan.selected[i])},{consistent[i]}\n"
+            capsys.readouterr()
+            assert run("inspect", "--checkpoint", out / "checkpoint.andc", "--round", 1, *data) == 0
+            assert capsys.readouterr().out == expected
+
     def test_selected_count_matches_round(self, run_dir, capsys):
         for r, expected in ((1, 25), (2, 50), (4, 100)):
             assert run(

@@ -68,12 +68,12 @@ class TestGenerateBlobs:
         with pytest.raises(ConfigurationError):
             generate_blobs(BlobSpec(1, 5, 4))
         # refused, not truncated: numpy's repeat would drop the .5 and write 4 rows
-        for spec in (
-            BlobSpec(2, 2.5, 3), BlobSpec(2, 3, 3.7), BlobSpec(2.0, 3, 3), BlobSpec(True, 3, 3),
-            BlobSpec(2, 3, 3, seed=1.5), BlobSpec(2, 3, 3, seed="1"),
+        for args, kwargs in (
+            ((2, 2.5, 3), {}), ((2, 3, 3.7), {}), ((2.0, 3, 3), {}), ((True, 3, 3), {}),
+            ((2, 3, 3), {"seed": 1.5}), ((2, 3, 3), {"seed": "1"}),
         ):
             with pytest.raises(ConfigurationError):
-                generate_blobs(spec)
+                BlobSpec(*args, **kwargs)
 
 
 class TestDataset:

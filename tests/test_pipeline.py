@@ -378,14 +378,14 @@ class TestTrain:
             with pytest.raises(ConfigurationError):
                 train(small_inputs(), small_config(**override))
         # beyond what checkpoint v1 stores: u32 counts and sizes (init_epochs 0xFFFFFFFF is its
-        # unset marker) and an i64 seed; `validate` alone, as a missed check would train for ever
+        # unset marker) and an i64 seed; built alone, as a missed check would train for ever
         for override in (
             {"rounds": 2**32}, {"epochs_per_round": 2**32}, {"batch_size": 2**32},
             {"k": 2**32}, {"layer_sizes": (8, 2**32, 4)}, {"init_epochs": 0xFFFFFFFF},
             {"seed": 2**63}, {"seed": -(2**63) - 1},
         ):
             with pytest.raises(ConfigurationError):
-                small_config(**override).validate()
+                small_config(**override)
 
     def test_k_beyond_n_rejected_before_warmup(self, monkeypatch):
         import andkit.pipeline as pipeline
