@@ -18,7 +18,8 @@ Binary dataset format (extension ``.ands``, all integers little-endian):
 CSV format: header ``label,f0,...,f{D-1}``; the label column is either all
 non-negative int32 integers or all -1, the latter meaning "no labels".
 A `Dataset` refuses NaN and infinite inputs, and labels that are not
-non-negative int32 integers; both loaders refuse them first.
+non-negative int32 integers; the CSV loader refuses them first, and
+`load_bin` turns the `Dataset`'s refusal into a FormatError.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from .numerics import SeededRng, is_integer, l2_normalize
 
 _MAGIC = b"ANDS"
 _VERSION = 1
-_HEADER = struct.Struct("<4sHBBII")
+_HEADER = "<4sHBBII"
 _INT32 = np.iinfo(np.int32)  # class ids are stored as int32
 
 
@@ -61,10 +62,11 @@ class Dataset:
     labels: np.ndarray | None = None  # (n,) int32 class ids
 
     def __post_init__(self):
-        inputs = np.array(self.inputs, dtype=np.float64)  # a copy: later caller writes stay out
-        if inputs.ndim != 2 or inputs.shape[0] < 2:
+        with np.errstate(invalid="ignore"):  # a signalling NaN is refused below, not warned about
+            inputs = np.array(self.inputs, dtype=np.float64)  # a copy: later caller writes stay out
+        if inputs.ndim != 2 or inputs.shape[0] < 2 or inputs.shape[1] < 1:
             raise ConfigurationError(
-                f"dataset needs a 2-D input matrix with n >= 2, got shape {inputs.shape}"
+                f"dataset needs a 2-D input matrix with n >= 2 and d >= 1, got shape {inputs.shape}"
             )
         bad = np.flatnonzero(~np.isfinite(inputs).all(axis=1))
         if bad.size:
@@ -113,6 +115,8 @@ class BlobSpec:
                 "blob spec needs integers num_classes >= 2, per_class >= 2, dim >= 2 and seed, got "
                 f"({self.num_classes}, {self.per_class}, {self.dim}, seed {self.seed})"
             )
+        if not -(2**63) <= self.seed < 2**63:  # TrainConfig's bound; SeededRng reduces mod 2**64
+            raise ConfigurationError(f"seed must fit in a signed 64-bit integer, got {self.seed}")
         scale, sigma = self.center_scale, self.noise_sigma
         # numbers, not bools; the comparisons below also refuse nan and an int past float range
         if not all(isinstance(v, numbers.Real) and type(v) is not bool for v in (scale, sigma)):
@@ -238,13 +242,52 @@ def load_csv(path) -> Dataset:
     return Dataset(inputs=rows, labels=None if absent.all() else label_arr)
 
 
+class BinaryReader:
+    """Reads a binary file in order; a read past its end or bytes left at `end` is a FormatError."""
+
+    def __init__(self, path, fh):  # fh: a seekable binary file object, open at path
+        self.path, self.fh, self.size = path, fh, fh.seek(0, os.SEEK_END)
+        fh.seek(0)
+
+    def _claim(self, num: int) -> int:
+        at = self.fh.tell()
+        if at + num > self.size:
+            raise FormatError(f"{self.path}: truncated at byte {at} (+{num} needed)")
+        return num
+
+    def skip(self, num: int) -> None:
+        self.fh.seek(self._claim(num), os.SEEK_CUR)
+
+    def unpack(self, fmt: str) -> tuple:
+        return struct.unpack(fmt, self.fh.read(self._claim(struct.calcsize(fmt))))
+
+    def head(self, fmt: str, magic: bytes, version: int) -> list:
+        """Unpack a header that opens with `magic` and a u16 version; return its other fields."""
+        found, got, *rest = self.unpack(fmt)
+        if found != magic:
+            raise FormatError(f"{self.path}: bad magic {found!r}")
+        if got != version:
+            raise FormatError(f"{self.path}: unsupported version {got}")
+        return rest
+
+    def array(self, dtype, *shape: int) -> np.ndarray:
+        """The next values of `dtype`, read into a new writable array of `shape`."""
+        self._claim(np.dtype(dtype).itemsize * math.prod(shape))
+        out = np.empty(shape, dtype)
+        self.fh.readinto(out)  # a short read (the file shrank) leaves `end` refusing it
+        return out
+
+    def end(self) -> None:
+        if self.fh.tell() != self.size:
+            raise FormatError(f"{self.path}: {self.size - self.fh.tell()} trailing bytes")
+
+
 def save_bin(dataset: Dataset, path) -> None:
     """Write `dataset` in the binary format, whole or not at all (`write_atomic`).
 
     An input whose float32 cast is not finite, which `load_bin` would refuse,
     is refused before anything is written.
     """
-    has_labels = dataset.labels is not None
     with np.errstate(over="ignore"):
         inputs = np.ascontiguousarray(dataset.inputs, dtype="<f4")
     if not np.isfinite(inputs).all():
@@ -252,42 +295,26 @@ def save_bin(dataset: Dataset, path) -> None:
             f"{path}: an input value is not finite as float32, the binary format's cell;"
             " a finite value beyond float32's range fits a .csv file instead"
         )
-    parts = [
-        _HEADER.pack(_MAGIC, _VERSION, int(has_labels), 0, dataset.n, dataset.dim),
-        inputs.tobytes(),
-    ]
-    if has_labels:
-        parts.append(np.ascontiguousarray(dataset.labels, dtype="<i4").tobytes())
-    write_atomic(path, b"".join(parts))
+    labels = dataset.labels
+    head = struct.pack(_HEADER, _MAGIC, _VERSION, labels is not None, 0, dataset.n, dataset.dim)
+    tail = b"" if labels is None else np.ascontiguousarray(labels, dtype="<i4").tobytes()
+    write_atomic(path, b"".join((head, inputs.tobytes(), tail)))
 
 
 def load_bin(path) -> Dataset:
+    """Read a binary dataset; a malformed file, or values `Dataset` refuses, is a FormatError."""
     with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < _HEADER.size:
-        raise FormatError(f"{path}: truncated header ({len(blob)} bytes)")
-    magic, version, has_labels, _pad, n, d = _HEADER.unpack_from(blob)
-    if magic != _MAGIC:
-        raise FormatError(f"{path}: bad magic {magic!r}")
-    if version != _VERSION:
-        raise FormatError(f"{path}: unsupported version {version}")
-    if has_labels not in (0, 1):
-        raise FormatError(f"{path}: bad label flag {has_labels}")
-    if n < 2 or d < 1:
-        raise FormatError(f"{path}: invalid dimensions n={n}, d={d}")
-    expected = _HEADER.size + 4 * n * d + (4 * n if has_labels else 0)
-    if len(blob) != expected:
-        raise FormatError(f"{path}: payload is {len(blob)} bytes, expected {expected}")
-    off = _HEADER.size
-    inputs = np.frombuffer(blob, dtype="<f4", count=n * d, offset=off).reshape(n, d)
-    if not np.isfinite(inputs).all():
-        raise FormatError(f"{path}: non-finite input value")
-    labels = None
-    if has_labels:
-        labels = np.frombuffer(blob, dtype="<i4", count=n, offset=off + 4 * n * d)
-        if (labels < 0).any():
-            raise FormatError(f"{path}: negative class id {int(labels.min())}")
-    return Dataset(inputs=inputs, labels=labels)  # Dataset converts to float64 in its one copy
+        rd = BinaryReader(path, fh)
+        has_labels, _pad, n, d = rd.head(_HEADER, _MAGIC, _VERSION)
+        if has_labels not in (0, 1):
+            raise FormatError(f"{path}: bad label flag {has_labels}")
+        inputs = rd.array("<f4", n, d)
+        labels = rd.array("<i4", n) if has_labels else None
+        rd.end()
+    try:
+        return Dataset(inputs=inputs, labels=labels)  # Dataset converts to float64 in its one copy
+    except ConfigurationError as err:
+        raise FormatError(f"{path}: {err}") from err
 
 
 def load_dataset(path) -> Dataset:

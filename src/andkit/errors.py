@@ -22,7 +22,7 @@ class ContractError(AndkitError, ValueError):
 
 
 class FormatError(AndkitError, ValueError):
-    """A serialised artifact is malformed: bad magic, version, or truncation."""
+    """A serialised artifact is malformed: a wrong magic or version, a bad length or value."""
 
 
 class ParseError(FormatError):

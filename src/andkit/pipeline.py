@@ -52,8 +52,8 @@ trained on, so that ``andkit inspect`` reads it instead of re-planning.
 
 from __future__ import annotations
 
+import io
 import numbers
-import os
 import struct
 import sys
 import zlib
@@ -64,7 +64,7 @@ import numpy as np
 
 from .affinity import bank_pass
 from .affinity import build_neighbourhoods  # not called here; perfbench/spans.py wraps it by name
-from .data import make_batches, write_atomic
+from .data import BinaryReader, make_batches, write_atomic
 from .encoder import (
     EncoderConfig,
     EncoderParams,
@@ -81,8 +81,8 @@ from .numerics import SeededRng, derive_seed
 
 _MAGIC = b"ANDC"
 _VERSION = 1
-_HEAD = struct.Struct("<4sH")
-_CONFIG = struct.Struct("<6Iq????dddd")  # "?": the four u8 0/1 config bytes
+_HEAD = "<4sH"
+_CONFIG = "<6Iq????dddd"  # "?": the four u8 0/1 config bytes
 _U32_MAX = 0xFFFFFFFF  # also the stored init_epochs that means None
 # Field order of the checkpoint config block; `_CONFIG` gives each one's type.
 _CONFIG_FIELDS = (
@@ -114,7 +114,7 @@ _KINDS = {
 
 _PLANS_MAGIC = b"ANDP"
 _PLANS_VERSION = 1
-_PLANS_HEAD = struct.Struct("<4sHIIII")  # magic, version, n, k, rounds, checkpoint crc
+_PLANS_HEAD = "<4sHIIII"  # magic, version, n, k, rounds, checkpoint crc
 PLANS_FILE = "plans.andp"
 
 MonitorFn = Callable[[int, "RoundPlan", FeatureBank, EncoderParams], dict]
@@ -278,7 +278,8 @@ def train(
     The batch losses run in the calling thread; each row-block pass of a
     plan or monitor starts and joins its own helper (`affinity.row_blocks`).
     """
-    x = np.asarray(inputs, dtype=np.float64)
+    with np.errstate(invalid="ignore"):  # a signalling NaN is refused below, not warned about
+        x = np.asarray(inputs, dtype=np.float64)
     if x.ndim != 2:
         raise ConfigurationError(f"inputs must be a 2-D matrix, got shape {x.shape}")
     n = x.shape[0]
@@ -359,8 +360,8 @@ def save_checkpoint(
         "reserved": False,
     }
     parts = [
-        _HEAD.pack(_MAGIC, _VERSION),
-        _CONFIG.pack(*(fields[name] for name in _CONFIG_FIELDS)),
+        struct.pack(_HEAD, _MAGIC, _VERSION),
+        struct.pack(_CONFIG, *(fields[name] for name in _CONFIG_FIELDS)),
         struct.pack("<I", len(sizes)),
         struct.pack(f"<{len(sizes)}I", *sizes),
     ]
@@ -377,40 +378,19 @@ def save_checkpoint(
 def load_checkpoint(path) -> Checkpoint:
     """Read a checkpoint back; a malformed file, bad config or NaN/inf value is a FormatError."""
     with open(path, "rb") as fh:
-        blob = fh.read()
-    view = memoryview(blob)
-    off = 0
-
-    def take(num: int) -> memoryview:
-        nonlocal off
-        if off + num > len(blob):
-            raise FormatError(f"{path}: truncated at byte {off} (+{num} needed)")
-        chunk = view[off : off + num]
-        off += num
-        return chunk
-
-    magic, version = _HEAD.unpack(take(_HEAD.size))
-    if magic != _MAGIC:
-        raise FormatError(f"{path}: bad magic {magic!r}")
-    if version != _VERSION:
-        raise FormatError(f"{path}: unsupported version {version}")
-    fields = dict(zip(_CONFIG_FIELDS, _CONFIG.unpack(take(_CONFIG.size))))
-    (num_sizes,) = struct.unpack("<I", take(4))
-    if num_sizes < 2:
-        raise FormatError(f"{path}: invalid layer count {num_sizes}")
-    sizes = struct.unpack(f"<{num_sizes}I", take(4 * num_sizes))
+        blob = fh.read()  # whole: its crc32 binds a plans file to it
+    rd = BinaryReader(path, io.BytesIO(blob))
+    rd.head(_HEAD, _MAGIC, _VERSION)
+    fields = dict(zip(_CONFIG_FIELDS, rd.unpack(_CONFIG)))
+    (num_sizes,) = rd.unpack("<I")
+    sizes = rd.unpack(f"<{num_sizes}I")
     weights, biases = [], []
     for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
-        weights.append(
-            np.frombuffer(take(8 * fan_out * fan_in), dtype="<f8").reshape(fan_out, fan_in).copy()
-        )
-        biases.append(np.frombuffer(take(8 * fan_out), dtype="<f8").copy())
-    bank_n, bank_d = struct.unpack("<II", take(8))
-    if bank_n < 2 or bank_d != sizes[-1]:
-        raise FormatError(f"{path}: invalid bank dimensions ({bank_n}, {bank_d})")
-    features = np.frombuffer(take(8 * bank_n * bank_d), dtype="<f8").reshape(bank_n, bank_d).copy()
-    if off != len(blob):
-        raise FormatError(f"{path}: {len(blob) - off} trailing bytes")
+        weights.append(rd.array("<f8", fan_out, fan_in))
+        biases.append(rd.array("<f8", fan_out))
+    bank_n, bank_d = rd.unpack("<II")
+    features = rd.array("<f8", bank_n, bank_d)
+    rd.end()
     if not all(np.isfinite(a).all() for a in (*weights, *biases, features)):
         raise FormatError(f"{path}: non-finite weight, bias or bank value")
     final_round = fields.pop("final_round")
@@ -422,6 +402,8 @@ def load_checkpoint(path) -> Checkpoint:
     try:
         config = TrainConfig(layer_sizes=sizes, **fields)
         config.validate(bank_n)
+        if bank_d != sizes[-1]:
+            raise ConfigurationError(f"bank width {bank_d} != the last layer size {sizes[-1]}")
         if not 1 <= final_round <= config.rounds:
             raise ConfigurationError(f"final_round {final_round} outside [1, {config.rounds}]")
     except ConfigurationError as err:
@@ -444,8 +426,8 @@ def plan_record(plan: RoundPlan) -> bytes:
 
 def save_plans(records: list[bytes], n: int, k: int, checkpoint_crc: int, path) -> None:
     """Write one `plan_record` per round, r = 1 first, bound to a checkpoint by its CRC."""
-    head = _PLANS_HEAD.pack(_PLANS_MAGIC, _PLANS_VERSION, n, k, len(records), checkpoint_crc)
-    write_atomic(path, b"".join((head, *records)))
+    head = (_PLANS_MAGIC, _PLANS_VERSION, n, k, len(records), checkpoint_crc)
+    write_atomic(path, b"".join((struct.pack(_PLANS_HEAD, *head), *records)))
 
 
 def load_plan(path, ckpt: Checkpoint, r: int) -> RoundPlan:
@@ -462,29 +444,19 @@ def load_plan(path, ckpt: Checkpoint, r: int) -> RoundPlan:
     packed = -(-n // 8)
     size = 8 * n + packed + 4 * n * (k + 1)
     with open(path, "rb") as fh:
-        head = fh.read(_PLANS_HEAD.size)
-        if len(head) < _PLANS_HEAD.size:
-            raise FormatError(f"{path}: truncated header ({len(head)} bytes)")
-        magic, version, *shape, crc = _PLANS_HEAD.unpack(head)
-        if magic != _PLANS_MAGIC:
-            raise FormatError(f"{path}: bad magic {magic!r}")
-        if version != _PLANS_VERSION:
-            raise FormatError(f"{path}: unsupported version {version}")
+        rd = BinaryReader(path, fh)
+        *shape, crc = rd.head(_PLANS_HEAD, _PLANS_MAGIC, _PLANS_VERSION)
         if shape != [n, k, rounds] or crc != ckpt.crc32:
             raise FormatError(
                 f"{path}: written for another checkpoint (n, k, rounds, crc32 "
                 f"{(*shape, crc)} != {(n, k, rounds, ckpt.crc32)})"
             )
-        total = os.fstat(fh.fileno()).st_size
-        if total != _PLANS_HEAD.size + rounds * size:
-            raise FormatError(f"{path}: {total} bytes, expected {_PLANS_HEAD.size + rounds * size}")
-        fh.seek(_PLANS_HEAD.size + (r - 1) * size)
-        blob = fh.read(size)
-    entropies = np.frombuffer(blob, dtype="<f8", count=n).astype(np.float64)
-    bits = np.frombuffer(blob, dtype=np.uint8, count=packed, offset=8 * n)
-    selected = np.unpackbits(bits, bitorder="little").astype(bool)
-    members = np.frombuffer(blob, dtype="<i4", offset=8 * n + packed).astype(np.int64)
-    members = members.reshape(n, k + 1)
+        rd.skip((r - 1) * size)
+        entropies = rd.array("<f8", n)
+        selected = np.unpackbits(rd.array(np.uint8, packed), bitorder="little").astype(bool)
+        members = rd.array("<i4", n, k + 1).astype(np.int64)
+        rd.skip((rounds - r) * size)
+        rd.end()
     if not np.isfinite(entropies).all():
         raise FormatError(f"{path}: round {r}: non-finite entropy")
     if selected[n:].any():

@@ -201,6 +201,13 @@ class TestGenerate:
             ) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_seed_outside_i64_is_a_usage_error(self, tmp_path):
+        # SeededRng reduces a seed mod 2**64, so 2**64 - 1 would write the bytes of seed -1
+        argv = ("generate", "--classes", 2, "--per-class", 3, "--dim", 3)
+        assert run(*argv, "--seed", 2**64 - 1, "--out", tmp_path / "x.ands") == 2
+        assert list(tmp_path.iterdir()) == []
+        assert run(*argv, "--seed", -1, "--out", tmp_path / "x.ands") == 0
+
     def test_csv_format(self, tmp_path):
         path = tmp_path / "blobs.csv"
         assert run(

@@ -103,6 +103,7 @@ def blob_spec_ok(kw: dict) -> bool:
     return (
         all(map(is_int, (*counts, kw["seed"])))
         and min(counts) >= 2
+        and -(2**63) <= kw["seed"] < 2**63
         and is_finite_real(kw["center_scale"])
         and kw["center_scale"] >= 0
         and is_finite_real(kw["noise_sigma"])

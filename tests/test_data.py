@@ -93,6 +93,17 @@ class TestDataset:
         save_csv(Dataset(inputs=[[-1e308, 1.0], [2.0, 5e-324]]), path)
         np.testing.assert_array_equal(load_csv(path).inputs, [[-1e308, 1.0], [2.0, 5e-324]])
 
+    def test_float32_signalling_nan_refused_without_a_warning(self):
+        # its float64 cast warns "invalid value"; the pytest config makes that warning an error
+        inputs = np.ones((3, 2), dtype=np.float32)
+        inputs.view(np.uint32)[1, 1] = 0x7F800001
+        with pytest.raises(ConfigurationError, match="sample 1: non-finite"):
+            Dataset(inputs=inputs)
+
+    def test_no_feature_column_refused(self):
+        with pytest.raises(ConfigurationError, match="d >= 1"):
+            Dataset(inputs=np.zeros((3, 0)))
+
     def test_caller_arrays_stay_writeable(self):
         inputs, labels = np.ones((3, 2)), np.array([0, 1, 1], dtype=np.int32)
         ds = Dataset(inputs=inputs, labels=labels)
@@ -241,6 +252,22 @@ class TestBinRoundTrip:
         struct.pack_into("<f", blob, 16 + 4 * 5, float("nan"))  # sample 1, feature 1
         path.write_bytes(bytes(blob))
         with pytest.raises(FormatError, match="non-finite"):
+            load_bin(path)
+
+    def test_signalling_nan_input_rejected(self, tmp_path):
+        ds = generate_blobs(BlobSpec(2, 3, 4, seed=2))
+        path = tmp_path / "snan.ands"
+        save_bin(ds, path)
+        blob = bytearray(path.read_bytes())
+        struct.pack_into("<I", blob, 16 + 4 * 5, 0x7F800001)  # sample 1, feature 1
+        path.write_bytes(bytes(blob))
+        with pytest.raises(FormatError, match="sample 1: non-finite"):
+            load_bin(path)
+
+    def test_zero_features_rejected(self, tmp_path):
+        path = tmp_path / "flat.ands"
+        path.write_bytes(struct.pack("<4sHBBII", b"ANDS", 1, 0, 0, 3, 0))
+        with pytest.raises(FormatError, match="d >= 1"):
             load_bin(path)
 
     def test_float32_overflow_refused_before_writing(self, tmp_path):

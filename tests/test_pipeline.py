@@ -365,6 +365,13 @@ class TestTrain:
                 train(x, small_config())
         assert calls == []
 
+    def test_float32_signalling_nan_refused_without_a_warning(self):
+        # its float64 cast warns "invalid value"; the pytest config makes that warning an error
+        x = small_inputs().astype(np.float32)
+        x.view(np.uint32)[3, 5] = 0x7F800001
+        with pytest.raises(ConfigurationError, match="sample 3: non-finite"):
+            train(x, small_config())
+
     def test_invalid_config_rejected(self):
         # wrong-typed values, as a hand-edited manifest can carry, are rejected like bad ranges
         for override in (
@@ -468,6 +475,23 @@ class TestCheckpoint:
         struct.pack_into("<I", blob, 6 + 4 * 5, 1)  # an earlier round is in range
         path.write_bytes(bytes(blob))
         assert load_checkpoint(path).final_round == 1
+
+    def test_layer_count_and_bank_width_must_fit_the_layers(self, tmp_path):
+        import struct
+
+        _, bank, _, path, _ = self.roundtrip(tmp_path)
+        good = path.read_bytes()
+        layer_count = 6 + struct.calcsize("<6Iq????dddd")  # after the header and config block
+        bank_shape = len(good) - 8 * bank.features.size - 8  # u32 n, u32 d, then the rows
+        reshaped = (bank.n * bank.d // (bank.d - 1), bank.d - 1)  # the same byte count
+        for offset, fmt, values in (
+            (layer_count, "<I", (0,)), (layer_count, "<I", (1,)), (bank_shape, "<II", reshaped)
+        ):
+            blob = bytearray(good)
+            struct.pack_into(fmt, blob, offset, *values)
+            path.write_bytes(bytes(blob))
+            with pytest.raises(FormatError):
+                load_checkpoint(path)
 
     def test_retired_schedule_byte_loads_either_value(self, tmp_path):
         # the u8 after the seed (u32 x 6, i64) chose the global (0) or per-round (1) schedule;
