@@ -7,7 +7,11 @@
 # Every command runs as `python3 -m andkit.cli`, so the caller's PYTHONPATH picks the tree
 # under test. BLAS keeps one thread, since at N = 2500 its thread count moves the batch loss's
 # score bits. The datasets are generated into OUT_DIR, and the runs write there:
-#   OUT_DIR/         the README walkthrough's train, eval --probe and inspect (N = 400)
+#   OUT_DIR/         the README walkthrough's train, eval --probe, inspect and curve (N = 400),
+#                    and heldout.json: its checkpoint's kNN without leave-one-out and a probe
+#                    fitted on blobs.ands, both scored on odd.ands (eval --bank-data)
+#   OUT_DIR/replan/  a copy of the walkthrough checkpoint with no plans.andp beside it, whose
+#                    inspect re-plans round 2 on the final bank
 #   OUT_DIR/wide/    one round at N = 5000 and k = 10: 79 row blocks a pass, and rows that the
 #                    top-k bound cuts into 227 groups of 22 columns and a 6-column tail
 #   OUT_DIR/odd/     two rounds at N = 2500, a bank whose row count is not a multiple of 8,
@@ -41,6 +45,13 @@ andkit eval --checkpoint "$out/checkpoint.andc" --data "$out/blobs.ands" --probe
   --out "$out/eval.json"
 andkit inspect --checkpoint "$out/checkpoint.andc" --data "$out/blobs.ands" --round 2 \
   --out "$out/inspect.csv"
+andkit curve --metrics "$out/metrics.jsonl" --out "$out/curve.csv"
+andkit eval --checkpoint "$out/checkpoint.andc" --data "$out/odd.ands" --bank-data "$out/blobs.ands" \
+  --probe --out "$out/heldout.json"
+mkdir -p "$out/replan"
+cp "$out/checkpoint.andc" "$out/replan/"
+andkit inspect --checkpoint "$out/replan/checkpoint.andc" --data "$out/blobs.ands" --round 2 \
+  --out "$out/replan/inspect.csv"
 
 andkit train --data "$out/wide.ands" --rounds 1 --epochs 1 --init-epochs 1 --k 10 --seed 1 \
   --layers 64,16 --out "$out/wide/"

@@ -19,7 +19,6 @@ import dataclasses
 import inspect
 import itertools
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -47,6 +46,7 @@ from .evaluation import (
     per_class_accuracy,
 )
 from .encoder import forward  # not called here; perfbench/spans.py wraps cli.forward by name
+from .numerics import check_positive
 from .pipeline import (
     PLANS_FILE,
     MetricsRecord,
@@ -141,6 +141,8 @@ def cmd_train(args) -> int:
         dataset = load_dataset(data_path)
         layers = (dataset.dim,) + _parse_layers(getattr(args, "layers", "64,16"))
         config = TrainConfig(layer_sizes=layers, **_given(TrainConfig, args))
+    if out_dir.exists() and not out_dir.is_dir():  # refused now, not after the whole run
+        raise ConfigurationError(f"output directory {out_dir} exists and is not a directory")
 
     labelled = _make_monitor(dataset) if dataset.labels is not None else None
     plans = []  # each round's plan, encoded at once, so no round's arrays stay alive
@@ -172,8 +174,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    if not (math.isfinite(args.tau) and args.tau > 0):
-        raise ConfigurationError(f"--tau must be a finite number > 0, got {args.tau}")
+    check_positive("--tau", args.tau)  # before the checkpoint is read
     ckpt = load_checkpoint(args.checkpoint)
     split = load_dataset(args.data)
     if split.labels is None:

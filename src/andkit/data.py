@@ -25,7 +25,6 @@ non-negative int32 integers; the CSV loader refuses them first, and
 from __future__ import annotations
 
 import math
-import numbers
 import os
 import struct
 import sys
@@ -35,7 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigurationError, FormatError, ParseError
-from .numerics import SeededRng, is_integer, l2_normalize
+from .numerics import SeededRng, check_kinds, check_positive, l2_normalize
 
 _MAGIC = b"ANDS"
 _VERSION = 1
@@ -45,13 +44,28 @@ _INT32 = np.iinfo(np.int32)  # class ids are stored as int32
 
 def label_fault(labels: np.ndarray) -> str | None:
     """Why `labels` are not class ids (non-negative integral values), or None when they are."""
-    if labels.dtype.kind not in "biu":
+    if labels.dtype.kind == "b":
+        return "labels must be integral class ids, not bools"
+    if labels.dtype.kind not in "iu":
         values = labels.astype(np.float64)
         if not (np.isfinite(values) & (values == np.floor(values))).all():
             return "labels must be integral class ids"
     if (labels < 0).any():
         return "labels must be non-negative class ids"
     return None
+
+
+def input_matrix(inputs, copy: bool) -> np.ndarray:
+    """`inputs` as a float64 (n, d) matrix, n >= 2 and d >= 1, of finite values; else a
+    ConfigurationError. Without `copy`, a float64 array comes back as is."""
+    with np.errstate(invalid="ignore"):  # a signalling NaN is refused below, not warned about
+        x = (np.array if copy else np.asarray)(inputs, dtype=np.float64)
+    if x.ndim != 2 or x.shape[0] < 2 or x.shape[1] < 1:
+        raise ConfigurationError(f"inputs need a 2-D shape with n >= 2 and d >= 1, got {x.shape}")
+    bad = np.flatnonzero(~np.isfinite(x).all(axis=1))
+    if bad.size:
+        raise ConfigurationError(f"sample {bad[0]}: non-finite input value")
+    return x
 
 
 @dataclass(frozen=True)
@@ -62,15 +76,7 @@ class Dataset:
     labels: np.ndarray | None = None  # (n,) int32 class ids
 
     def __post_init__(self):
-        with np.errstate(invalid="ignore"):  # a signalling NaN is refused below, not warned about
-            inputs = np.array(self.inputs, dtype=np.float64)  # a copy: later caller writes stay out
-        if inputs.ndim != 2 or inputs.shape[0] < 2 or inputs.shape[1] < 1:
-            raise ConfigurationError(
-                f"dataset needs a 2-D input matrix with n >= 2 and d >= 1, got shape {inputs.shape}"
-            )
-        bad = np.flatnonzero(~np.isfinite(inputs).all(axis=1))
-        if bad.size:
-            raise ConfigurationError(f"sample {bad[0]}: non-finite input value")
+        inputs = input_matrix(self.inputs, copy=True)  # later caller writes stay out
         inputs.flags.writeable = False
         object.__setattr__(self, "inputs", inputs)
         if self.labels is not None:
@@ -109,22 +115,16 @@ class BlobSpec:
     seed: int = 0
 
     def __post_init__(self):
+        check_kinds(self)
         counts = (self.num_classes, self.per_class, self.dim)
-        if not all(map(is_integer, (*counts, self.seed))) or min(counts) < 2:
-            raise ConfigurationError(
-                "blob spec needs integers num_classes >= 2, per_class >= 2, dim >= 2 and seed, got "
-                f"({self.num_classes}, {self.per_class}, {self.dim}, seed {self.seed})"
-            )
+        if min(counts) < 2:
+            raise ConfigurationError(f"num_classes, per_class and dim must be >= 2, got {counts}")
         if not -(2**63) <= self.seed < 2**63:  # TrainConfig's bound; SeededRng reduces mod 2**64
             raise ConfigurationError(f"seed must fit in a signed 64-bit integer, got {self.seed}")
-        scale, sigma = self.center_scale, self.noise_sigma
-        # numbers, not bools; the comparisons below also refuse nan and an int past float range
-        if not all(isinstance(v, numbers.Real) and type(v) is not bool for v in (scale, sigma)):
-            raise ConfigurationError(f"blob scales must be numbers, got {scale!r}, {sigma!r}")
-        if not 0 <= scale <= sys.float_info.max:
+        scale = self.center_scale
+        if not 0 <= scale <= sys.float_info.max:  # also refuses nan and an int past float
             raise ConfigurationError(f"center_scale must be a finite number >= 0, got {scale}")
-        if not 0 < sigma <= sys.float_info.max:
-            raise ConfigurationError(f"noise_sigma must be a finite number > 0, got {sigma}")
+        check_positive("noise_sigma", self.noise_sigma)
 
 
 def generate_blobs(spec: BlobSpec) -> Dataset:

@@ -24,7 +24,6 @@ oracles in `tests/oracles.py`.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +33,7 @@ from .data import Dataset, label_fault
 from .encoder import EncoderParams, forward
 from .errors import ConfigurationError, ContractError
 from .memory import FeatureBank
+from .numerics import check_positive, is_integer
 
 DEFAULT_K_EVAL = 10
 DEFAULT_EVAL_TAU = 0.07
@@ -103,8 +103,7 @@ def knn_predict_batch(
     so neither the whole query x bank matrix nor any (n, k_eval) array is
     held, and the votes do not depend on the worker count.
     """
-    if not (math.isfinite(tau) and tau > 0):
-        raise ConfigurationError(f"tau must be a finite number > 0, got {tau}")
+    check_positive("tau", tau)
     labels = _check_labels(labels)
     if labels.size != bank.n:
         raise ContractError(f"{labels.size} labels for a bank of {bank.n} rows")
@@ -113,7 +112,7 @@ def knn_predict_batch(
         raise ContractError("leave-one-out needs one query per bank row")
     available = bank.n - (1 if leave_one_out else 0)
     k_eval = min(DEFAULT_K_EVAL, available) if k_eval is None else k_eval
-    if not 1 <= k_eval <= available:
+    if not (is_integer(k_eval) and 1 <= k_eval <= available):
         raise ConfigurationError(f"k_eval must lie in [1, {available}], got {k_eval}")
     num_classes = int(labels.max()) + 1
     preds = np.empty(feats.shape[0], dtype=np.intp)
@@ -121,7 +120,8 @@ def knn_predict_batch(
     def block(start, scores):
         top = top_k_others(scores, start, k_eval) if leave_one_out else top_k(scores, k_eval)
         sims = np.take_along_axis(scores, top, axis=1)
-        weights = np.exp((sims - sims[:, :1]) / tau)  # top_k puts the best score first
+        with np.errstate(over="ignore"):  # a gap past float range at a subnormal tau: weight 0
+            weights = np.exp((sims - sims[:, :1]) / tau)  # top_k puts the best score first
         # bincount adds each cell's weights in input order, one at a time, as np.add.at does
         cells = labels[top] + num_classes * np.arange(len(top))[:, None]
         votes = np.bincount(cells.ravel(), weights.ravel(), minlength=len(top) * num_classes)
@@ -219,10 +219,9 @@ def linear_probe(
     transposed; numpy's class-sum order (`_class_sum`); `probs @ feats`
     for its `probs.T @ feats`; and a bias sum that adds the samples in turn.
     """
-    if epochs < 0:
-        raise ConfigurationError(f"probe epochs must be >= 0, got {epochs}")
-    if not (math.isfinite(lr) and lr > 0):
-        raise ConfigurationError(f"probe lr must be a finite number > 0, got {lr}")
+    if not (is_integer(epochs) and epochs >= 0):
+        raise ConfigurationError(f"probe epochs must be an integer >= 0, got {epochs}")
+    check_positive("probe lr", lr)
     tr_labels = _check_labels(train_split.labels)
     te_labels = _check_labels(test_split.labels)
     tr_feats = encode(params, train_split.inputs)

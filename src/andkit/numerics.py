@@ -1,4 +1,4 @@
-"""Dense float64 primitives and a portable deterministic RNG.
+"""Dense float64 primitives, a portable deterministic RNG, and the scalar value rules.
 
 Package code takes row norms (`row_norms`), normalises (`l2_normalize`, `l2_normalize_rows`)
 and draws random numbers (`SeededRng`) only through this module. All are
@@ -27,6 +27,8 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -68,9 +70,34 @@ def _jump_table(span: int) -> np.ndarray:
     return _JUMPS[span]
 
 
+# accepted value types per dataclass field annotation; bool only where the annotation says bool
+_KINDS = {
+    "int": numbers.Integral,
+    "int | None": (numbers.Integral, type(None)),
+    "float": numbers.Real,
+    "bool": bool,
+    "tuple[int, ...]": tuple,
+}
+
+
 def is_integer(value) -> bool:
     """True for an integral value (a numpy integer too) that is not a bool."""
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def check_kinds(config) -> None:
+    """Refuse a dataclass whose field holds a value outside its annotation's kind (`_KINDS`)."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if not isinstance(value, _KINDS[f.type]) or isinstance(value, bool) != (f.type == "bool"):
+            raise ConfigurationError(f"{f.name} must be {f.type}, got {value!r}")
+
+
+def check_positive(name: str, value) -> None:
+    """Refuse `value` unless it is a real number, not a bool, in (0, largest float]."""
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    if not (real and 0 < value <= sys.float_info.max):  # also refuses nan, an int past float
+        raise ConfigurationError(f"{name} must be a finite number > 0, got {value}")
 
 
 def splitmix64(x: int) -> int:

@@ -53,18 +53,16 @@ trained on, so that ``andkit inspect`` reads it instead of re-planning.
 from __future__ import annotations
 
 import io
-import numbers
 import struct
-import sys
 import zlib
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 from typing import Callable
 
 import numpy as np
 
 from .affinity import bank_pass
 from .affinity import build_neighbourhoods  # not called here; perfbench/spans.py wraps it by name
-from .data import BinaryReader, make_batches, write_atomic
+from .data import BinaryReader, input_matrix, make_batches, write_atomic
 from .encoder import (
     EncoderConfig,
     EncoderParams,
@@ -77,7 +75,7 @@ from .encoder import (
 from .errors import ConfigurationError, ContractError, DegenerateInputError, FormatError
 from .losses import round_batch_loss
 from .memory import FeatureBank, init_bank, update_batch
-from .numerics import SeededRng, derive_seed
+from .numerics import SeededRng, check_kinds, check_positive, derive_seed
 
 _MAGIC = b"ANDC"
 _VERSION = 1
@@ -102,15 +100,6 @@ _CONFIG_FIELDS = (
     "tau",
     "eta",
 )
-
-# accepted value types per TrainConfig annotation; bool only where the annotation says bool
-_KINDS = {
-    "int": numbers.Integral,
-    "int | None": (numbers.Integral, type(None)),
-    "float": numbers.Real,
-    "bool": bool,
-    "tuple[int, ...]": tuple,
-}
 
 _PLANS_MAGIC = b"ANDP"
 _PLANS_VERSION = 1
@@ -146,24 +135,18 @@ class TrainConfig:
     def __post_init__(self):
         if isinstance(self.layer_sizes, list):  # as a manifest holds; other non-tuples are refused
             object.__setattr__(self, "layer_sizes", tuple(self.layer_sizes))
-        for f in fields(self):
-            value = getattr(self, f.name)
-            kind_ok = isinstance(value, _KINDS[f.type])
-            if not kind_ok or isinstance(value, bool) != (f.type == "bool"):
-                raise ConfigurationError(f"{f.name} must be {f.type}, got {value!r}")
+        check_kinds(self)
         if self.rounds < 1:
             raise ConfigurationError(f"rounds must be >= 1, got {self.rounds}")
         if self.epochs_per_round < 0 or (self.init_epochs is not None and self.init_epochs < 0):
             raise ConfigurationError("epoch counts must be >= 0")
         if self.batch_size < 1:
             raise ConfigurationError(f"batch_size must be >= 1, got {self.batch_size}")
-        if not 0 < self.base_lr <= sys.float_info.max:  # also refuses nan, an int past float
-            raise ConfigurationError(f"base_lr must be a finite number > 0, got {self.base_lr}")
+        check_positive("base_lr", self.base_lr)
         # Nesterov's velocity decays only for momentum < 1; at 1 or more it never forgets a step
         if not 0.0 <= self.momentum < 1.0:
             raise ConfigurationError(f"momentum must lie in [0, 1), got {self.momentum}")
-        if not 0 < self.tau <= sys.float_info.max:
-            raise ConfigurationError(f"tau must be a finite number > 0, got {self.tau}")
+        check_positive("tau", self.tau)
         if not 0.0 < self.eta <= 1.0:
             raise ConfigurationError(f"eta must lie in (0, 1], got {self.eta}")
         if self.k < 1:
@@ -278,19 +261,13 @@ def train(
     The batch losses run in the calling thread; each row-block pass of a
     plan or monitor starts and joins its own helper (`affinity.row_blocks`).
     """
-    with np.errstate(invalid="ignore"):  # a signalling NaN is refused below, not warned about
-        x = np.asarray(inputs, dtype=np.float64)
-    if x.ndim != 2:
-        raise ConfigurationError(f"inputs must be a 2-D matrix, got shape {x.shape}")
+    x = input_matrix(inputs, copy=False)
     n = x.shape[0]
     config.validate(n)
     if x.shape[1] != config.layer_sizes[0]:
         raise ConfigurationError(
             f"input dim {x.shape[1]} != first layer size {config.layer_sizes[0]}"
         )
-    bad = np.flatnonzero(~np.isfinite(x).all(axis=1))
-    if bad.size:
-        raise ConfigurationError(f"sample {bad[0]}: non-finite input value")
 
     params = init_params(EncoderConfig(config.layer_sizes, seed=derive_seed(config.seed, 1)))
     bank = init_bank(n, config.layer_sizes[-1], SeededRng(derive_seed(config.seed, 2)))

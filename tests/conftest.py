@@ -4,6 +4,7 @@ import numpy as np
 
 from andkit.memory import FeatureBank
 from andkit.numerics import SeededRng, l2_normalize_rows
+from andkit.pipeline import RoundPlan
 
 
 def finite_difference(f, x, step=1e-6):
@@ -36,6 +37,18 @@ def random_unit(d, seed):
 
 def random_bank(n, d, seed):
     return FeatureBank(features=l2_normalize_rows(SeededRng(seed).normals((n, d))))
+
+
+def three_row_bank():
+    return FeatureBank(features=np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]]))
+
+
+def make_plan(selected_idx, members):
+    """A round plan that selects the anchors in `selected_idx`, with these member rows."""
+    n = len(members)
+    mask = np.zeros(n, dtype=bool)
+    mask[list(selected_idx)] = True
+    return RoundPlan(entropies=np.zeros(n), selected=mask, members=np.asarray(members))
 
 
 def dyadic_matrix(n, d, seed):

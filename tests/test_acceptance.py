@@ -18,9 +18,9 @@ from andkit.encoder import EncoderConfig, backward, forward, init_params
 from andkit.losses import round_batch_loss
 from andkit.memory import FeatureBank, update_batch
 from andkit.numerics import SeededRng, l2_normalize_rows
-from andkit.pipeline import RoundPlan, TrainConfig, select_anchors, train
+from andkit.pipeline import TrainConfig, select_anchors, train
 
-from conftest import finite_difference, max_rel_error, random_bank, random_unit
+from conftest import finite_difference, make_plan, max_rel_error, random_bank, random_unit
 from oracles import instance_term, neighbourhood_term
 from paper_claims import benchmark_config, calibrate_sigma, run_benchmark
 
@@ -28,13 +28,6 @@ from paper_claims import benchmark_config, calibrate_sigma, run_benchmark
 def report(name, ok, detail=""):
     print(f"\n[acceptance] {name}: {'PASS' if ok else 'FAIL'}  {detail}")
     assert ok, f"{name}: {detail}"
-
-
-def make_plan(selected_idx, members):
-    n = len(members)
-    mask = np.zeros(n, dtype=bool)
-    mask[list(selected_idx)] = True
-    return RoundPlan(entropies=np.zeros(n), selected=mask, members=members)
 
 
 # ----------------------------------------------------------------------

@@ -11,12 +11,8 @@ from andkit.evaluation import knn_predict_batch
 from andkit.memory import FeatureBank
 from andkit.numerics import SeededRng
 
-from conftest import dyadic_matrix, random_bank, random_unit, traced_peak
+from conftest import dyadic_matrix, random_bank, random_unit, three_row_bank, traced_peak
 from oracles import dense_softmax, entropy, neighbourhood_term, prob_row
-
-
-def three_row_bank():
-    return FeatureBank(features=np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]]))
 
 
 class TestProbRow:

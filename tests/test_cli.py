@@ -277,6 +277,19 @@ class TestTrain:
         ) == 0
         assert calls == [str(blob_file)]
 
+    def test_out_naming_a_file_is_refused_before_training(
+        self, run_dir, blob_file, tmp_path, monkeypatch, capsys
+    ):
+        import andkit.cli as cli
+
+        afile = tmp_path / "afile"
+        afile.write_bytes(b"kept")
+        monkeypatch.setattr(cli, "train", lambda *args, **kwargs: pytest.fail("trained"))
+        for source in (("--data", blob_file), ("--manifest", run_dir / "manifest.json")):
+            assert run("train", *source, "--out", afile) == 2
+            assert "not a directory" in capsys.readouterr().err
+        assert afile.read_bytes() == b"kept"
+
     def test_manifest_rerun_bit_identical(self, run_dir, tmp_path):
         out2 = tmp_path / "rerun"
         assert run("train", "--manifest", run_dir / "manifest.json", "--out", out2) == 0

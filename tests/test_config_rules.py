@@ -1,4 +1,5 @@
-"""A `TrainConfig` or `BlobSpec` that exists holds valid fields.
+"""A `TrainConfig` or `BlobSpec` that exists holds valid fields, and the
+label-side parameters run or are refused.
 
 Each test builds one from keyword values, directly and through
 `dataclasses.replace`, and checks the outcome against the field rules
@@ -6,7 +7,9 @@ restated here: the build succeeds exactly when every rule holds, and is
 otherwise refused with a `ConfigurationError`, never another exception.
 The properties draw several fields at once; the edge sweep sets one field
 at a time to each value beside a rule's bound, where a drawn value that
-breaks another field would hide it.
+breaks another field would hide it. The same sweep sets each scalar of the
+kNN vote and the linear probe, on a tiny fixed model: it runs exactly when
+its rule holds, and is otherwise refused with a `ConfigurationError`.
 """
 
 import math
@@ -14,11 +17,16 @@ import numbers
 from dataclasses import fields, replace
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from andkit.data import BlobSpec
+from andkit import evaluation
+from andkit.data import BlobSpec, generate_blobs
+from andkit.encoder import EncoderConfig, init_params
 from andkit.errors import ConfigurationError
+from andkit.evaluation import encode, knn_accuracy, knn_predict_batch, linear_probe
+from andkit.memory import FeatureBank
 from andkit.pipeline import TrainConfig
 
 U32_MAX = 2**32 - 1
@@ -155,3 +163,62 @@ def test_each_field_alone_at_every_edge():
         for f in fields(cls):
             for value in EDGES:
                 check_build(cls, ok, {f.name: value})
+
+
+SPLIT = generate_blobs(BlobSpec(2, 4, 3, seed=1))  # 8 labelled rows
+PARAMS = init_params(EncoderConfig((3, 2)))
+BANK = FeatureBank(features=encode(PARAMS, SPLIT.inputs))
+PROBE_RUNS = 2  # most epochs a swept probe fits for real: 2**64 epochs would never end
+
+
+def positive_real_ok(value) -> bool:
+    return is_finite_real(value) and value > 0
+
+
+def k_eval_ok(available: int):
+    return lambda value: value is None or (is_int(value) and 1 <= value <= available)
+
+
+def probe_epochs(value):
+    """`linear_probe` at `value` epochs; past PROBE_RUNS, a stub fit shows the gate passed it."""
+    if not (is_int(value) and value > PROBE_RUNS):
+        return linear_probe(SPLIT, SPLIT, PARAMS, epochs=value)
+    reached = []
+
+    def fit(feats, labels, num_classes, epochs, lr):
+        reached.append(epochs)
+        return np.zeros((num_classes, feats.shape[1])), np.zeros(num_classes)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(evaluation, "_fit_probe", fit)
+        linear_probe(SPLIT, SPLIT, PARAMS, epochs=value)
+    assert reached == [value]
+
+
+LABEL_SIDE = {
+    "knn_predict_batch tau": (
+        lambda v: knn_predict_batch(BANK.features, BANK, SPLIT.labels, tau=v), positive_real_ok
+    ),
+    "knn_predict_batch k_eval": (
+        lambda v: knn_predict_batch(BANK.features, BANK, SPLIT.labels, k_eval=v),
+        k_eval_ok(SPLIT.n),
+    ),
+    "knn_accuracy k_eval": (
+        lambda v: knn_accuracy(SPLIT, PARAMS, BANK, SPLIT.labels, k_eval=v, leave_one_out=True),
+        k_eval_ok(SPLIT.n - 1),
+    ),
+    "linear_probe epochs": (probe_epochs, lambda v: is_int(v) and v >= 0),
+    "linear_probe lr": (lambda v: linear_probe(SPLIT, SPLIT, PARAMS, lr=v), positive_real_ok),
+}
+
+
+@pytest.mark.parametrize("name", LABEL_SIDE)
+def test_label_side_parameter_at_every_edge(name):
+    call, ok = LABEL_SIDE[name]
+    for value in EDGES:
+        try:
+            call(value)
+        except ConfigurationError:
+            assert not ok(value), (name, value)
+            continue
+        assert ok(value), (name, value)

@@ -123,7 +123,9 @@ class TestDataset:
         assert ds.labels.dtype == np.int32
         np.testing.assert_array_equal(ds.labels, [0, 2, 1])
 
-    @pytest.mark.parametrize("labels", [[0.5, 1.7, 2.0], [0.0, np.nan, 1.0], [0.0, np.inf, 1.0]])
+    @pytest.mark.parametrize(
+        "labels", [[0.5, 1.7, 2.0], [0.0, np.nan, 1.0], [0.0, np.inf, 1.0], [True, False, True]]
+    )
     def test_non_integral_labels_refused(self, labels):
         with pytest.raises(ConfigurationError, match="integral"):
             Dataset(inputs=np.ones((3, 2)), labels=labels)

@@ -138,7 +138,11 @@ class TestWeightedKnnPredict:
 
     @pytest.mark.parametrize(
         "labels, match",
-        [([0, 0, 1, 1, -1, -1], "non-negative"), ([0, 0, 1, 1, 0.7, 0.7], "integral")],
+        [
+            ([0, 0, 1, 1, -1, -1], "non-negative"),
+            ([0, 0, 1, 1, 0.7, 0.7], "integral"),
+            ([False, False, True, True, False, True], "bool"),
+        ],
     )
     def test_batch_refuses_labels_that_are_not_class_ids(self, labels, match):
         # np.add.at would count a -1 vote for the last class, and 0.7 would truncate to 0
@@ -193,6 +197,10 @@ class TestKnnAccuracy:
         preds = np.array([0, 0, 1, 1, 1, 0])
         truth = np.array([0, 0, 1, 1, 0, 1])
         assert per_class_accuracy(preds, truth) == [pytest.approx(2 / 3), pytest.approx(2 / 3)]
+
+    def test_per_class_accuracy_refuses_bool_truth(self):
+        with pytest.raises(ContractError, match="bool"):
+            per_class_accuracy(np.array([0, 1, 1]), np.array([False, True, True]))
 
     def test_training_beats_untrained_encoder_on_two_blobs(self):
         # baseline comparison run: the untrained random encoder is the oracle

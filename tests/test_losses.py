@@ -10,21 +10,17 @@ from andkit.errors import ContractError
 from andkit.losses import round_batch_loss
 from andkit.memory import FeatureBank
 from andkit.numerics import SeededRng
-from andkit.pipeline import RoundPlan
 
-from conftest import finite_difference, max_rel_error, random_bank, random_unit, traced_peak
+from conftest import (
+    finite_difference,
+    make_plan,
+    max_rel_error,
+    random_bank,
+    random_unit,
+    three_row_bank,
+    traced_peak,
+)
 from oracles import dense_batch_loss, instance_term, neighbourhood_term
-
-
-def three_row_bank():
-    return FeatureBank(features=np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]]))
-
-
-def make_plan(selected_idx, members):
-    n = len(members)
-    mask = np.zeros(n, dtype=bool)
-    mask[list(selected_idx)] = True
-    return RoundPlan(entropies=np.zeros(n), selected=mask, members=np.asarray(members))
 
 
 def plan_batch_loss(batch, plan, bank, tau):
